@@ -514,6 +514,9 @@ run_bench_compare_smoke() {
       "${work}/BENCH_alloc.json" --tol 50
 }
 
+echo "=== pass 0: benchmark harness self-tests ==="
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 echo "=== pass 1: -Werror build + ctest ==="
 cmake -B build-ci -S . -DLMP_WERROR=ON
 cmake --build build-ci -j "${JOBS}"

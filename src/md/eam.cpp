@@ -1,7 +1,6 @@
 #include "md/eam.h"
 
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 namespace lmp::md {
@@ -13,96 +12,6 @@ Eam::Eam(const EamTable& t)
       rhor_(t.dr, t.dr, t.rhor),
       z2r_(t.dr, t.dr, t.z2r) {
   if (t.cutoff <= 0) throw std::invalid_argument("EAM cutoff must be > 0");
-}
-
-ForceResult Eam::compute(Atoms& atoms, const NeighborList& list, bool newton,
-                         GhostDataComm* ghost_comm) {
-  const int nlocal = atoms.nlocal();
-  const int ntotal = atoms.ntotal();
-  const double* x = atoms.x();
-  double* f = atoms.f();
-  ForceResult out;
-
-  rho_.assign(static_cast<std::size_t>(ntotal), 0.0);
-  fp_.assign(static_cast<std::size_t>(ntotal), 0.0);
-
-  // ---- pass 1: electron density ------------------------------------
-  for (int i = 0; i < nlocal; ++i) {
-    for (int k = list.offsets[i]; k < list.offsets[i + 1]; ++k) {
-      const int j = list.neigh[static_cast<std::size_t>(k)];
-      const double dx = x[3 * i] - x[3 * j];
-      const double dy = x[3 * i + 1] - x[3 * j + 1];
-      const double dz = x[3 * i + 2] - x[3 * j + 2];
-      const double r2 = dx * dx + dy * dy + dz * dz;
-      if (r2 >= cut2_) continue;
-      const double r = std::sqrt(r2);
-      const double rho_r = rhor_.value(r);
-      rho_[static_cast<std::size_t>(i)] += rho_r;
-      if (!list.full && (newton || j < nlocal)) {
-        rho_[static_cast<std::size_t>(j)] += rho_r;
-      }
-    }
-  }
-
-  // Mid-pair communication #1: ghost density contributions -> owners.
-  if (newton && ghost_comm != nullptr) {
-    ghost_comm->reverse_add(rho_.data());
-  }
-
-  // ---- embedding energy and its derivative --------------------------
-  for (int i = 0; i < nlocal; ++i) {
-    double emb, deriv;
-    frho_.eval(rho_[static_cast<std::size_t>(i)], emb, deriv);
-    out.energy += emb;
-    fp_[static_cast<std::size_t>(i)] = deriv;
-  }
-
-  // Mid-pair communication #2: fp of owners -> their ghost copies.
-  if (ghost_comm != nullptr) {
-    ghost_comm->forward(fp_.data());
-  }
-
-  // ---- pass 2: forces -------------------------------------------------
-  const double pair_weight = list.full ? 0.5 : 1.0;
-  for (int i = 0; i < nlocal; ++i) {
-    double fxi = 0, fyi = 0, fzi = 0;
-    for (int k = list.offsets[i]; k < list.offsets[i + 1]; ++k) {
-      const int j = list.neigh[static_cast<std::size_t>(k)];
-      const double dx = x[3 * i] - x[3 * j];
-      const double dy = x[3 * i + 1] - x[3 * j + 1];
-      const double dz = x[3 * i + 2] - x[3 * j + 2];
-      const double r2 = dx * dx + dy * dy + dz * dz;
-      if (r2 >= cut2_) continue;
-      const double r = std::sqrt(r2);
-
-      double rho_r, rhop;
-      rhor_.eval(r, rho_r, rhop);
-      double z2, z2p;
-      z2r_.eval(r, z2, z2p);
-      const double recip = 1.0 / r;
-      const double phi = z2 * recip;
-      const double phip = z2p * recip - phi * recip;
-
-      const double psip = fp_[static_cast<std::size_t>(i)] * rhop +
-                          fp_[static_cast<std::size_t>(j)] * rhop + phip;
-      const double fpair = -psip * recip;
-
-      fxi += dx * fpair;
-      fyi += dy * fpair;
-      fzi += dz * fpair;
-      if (!list.full && (newton || j < nlocal)) {
-        f[3 * j] -= dx * fpair;
-        f[3 * j + 1] -= dy * fpair;
-        f[3 * j + 2] -= dz * fpair;
-      }
-      out.energy += pair_weight * phi;
-      out.virial += pair_weight * r2 * fpair;
-    }
-    f[3 * i] += fxi;
-    f[3 * i + 1] += fyi;
-    f[3 * i + 2] += fzi;
-  }
-  return out;
 }
 
 void Eam::rho_rows(const std::vector<int>& rows, const double* x, double* rho,
@@ -169,25 +78,13 @@ void Eam::force_rows(const std::vector<int>& rows, const double* x, double* f,
   }
 }
 
-void Eam::split_begin(Atoms& atoms, const NeighborList& list, bool newton,
-                      const ForceGroups* groups) {
-  if (groups == nullptr) {
-    throw std::invalid_argument("EAM split_begin: null ForceGroups");
-  }
-  satoms_ = &atoms;
-  slist_ = &list;
-  sgroups_ = groups;
-  snewton_ = newton;
-  stotal_ = {};
-  const auto ng = static_cast<std::size_t>(groups->ngroups());
-  const auto n = static_cast<std::size_t>(atoms.ntotal());
+void Eam::begin_scratch() {
+  const auto ng = static_cast<std::size_t>(sgroups_->ngroups());
+  const auto n = static_cast<std::size_t>(satoms_->ntotal());
   rho_.assign(n, 0.0);
   fp_.assign(n, 0.0);
   grho_.resize(ng);
-  gforce_.resize(ng);
-  gpartial_.assign(ng, {});
   for (auto& buf : grho_) buf.assign(n, 0.0);
-  for (auto& buf : gforce_) buf.assign(3 * n, 0.0);
 }
 
 void Eam::split_group(int pass, int g) {
@@ -206,9 +103,8 @@ void Eam::split_group(int pass, int g) {
 
 void Eam::split_join(int pass, GhostDataComm* ghost_comm) {
   if (pass == 0) {
-    // Canonical density reduction, then the two mid-pair comms and the
-    // embedding term — exactly the monolithic mid-section, with rho
-    // summed group-by-group in ascending mask order.
+    // Canonical density reduction (group by group in ascending mask
+    // order), then the two mid-pair comms and the embedding term.
     const int nlocal = satoms_->nlocal();
     const auto n = static_cast<std::size_t>(satoms_->ntotal());
     for (std::size_t gi = 0; gi < grho_.size(); ++gi) {
@@ -228,19 +124,10 @@ void Eam::split_join(int pass, GhostDataComm* ghost_comm) {
       ghost_comm->forward(fp_.data());
     }
   } else if (pass == 1) {
-    double* f = satoms_->f();
-    const auto n3 = static_cast<std::size_t>(3) * satoms_->ntotal();
-    for (std::size_t gi = 0; gi < gforce_.size(); ++gi) {
-      const double* buf = gforce_[gi].data();
-      for (std::size_t k = 0; k < n3; ++k) f[k] += buf[k];
-      stotal_.energy += gpartial_[gi].energy;
-      stotal_.virial += gpartial_[gi].virial;
-    }
+    reduce_forces();
   } else {
     throw std::logic_error("EAM split: pass out of range");
   }
 }
-
-ForceResult Eam::split_finish() { return stotal_; }
 
 }  // namespace lmp::md

@@ -24,39 +24,34 @@ class Eam final : public Potential {
  public:
   explicit Eam(const EamTable& table);
 
-  ForceResult compute(Atoms& atoms, const NeighborList& list, bool newton,
-                      GhostDataComm* ghost_comm) override;
-
   double cutoff() const override { return cutoff_; }
-  bool needs_mid_comm() const override { return true; }
 
   /// Tabulated functions (exposed for tests).
   double rho_of_r(double r) const { return rhor_.value(r); }
   double phi_of_r(double r) const { return z2r_.value(r) / r; }
   double embed(double rho) const { return frho_.value(rho); }
 
-  /// Scratch sized on first compute; exposed so tests can inspect the
+  /// Scratch sized by each evaluation; exposed so tests can inspect the
   /// densities of the last evaluation.
   const std::vector<double>& last_rho() const { return rho_; }
 
-  // Staged split evaluation: pass 0 accumulates per-group densities,
-  // split_join(0) reduces them canonically and runs the two mid-pair
-  // communications (rho reverse-add, fp forward) plus the embedding
-  // term; pass 1 accumulates per-group forces reading the shared fp.
+  // Pass 0 accumulates per-group densities, split_join(0) reduces them
+  // canonically and runs the two mid-pair communications (rho
+  // reverse-add, fp forward) plus the embedding term; pass 1
+  // accumulates per-group forces reading the shared fp.
   int split_passes() const override { return 2; }
-  void split_begin(Atoms& atoms, const NeighborList& list, bool newton,
-                   const ForceGroups* groups) override;
   void split_group(int pass, int g) override;
   void split_join(int pass, GhostDataComm* ghost_comm) override;
-  ForceResult split_finish() override;
 
  private:
-  /// compute()'s density-pass body over an explicit row set, into a
-  /// group-private density buffer.
+  void begin_scratch() override;
+
+  /// The density kernel over an explicit row set, into a group-private
+  /// density buffer.
   void rho_rows(const std::vector<int>& rows, const double* x, double* rho,
                 const NeighborList& list, bool newton, int nlocal) const;
-  /// compute()'s force-pass body over an explicit row set, into a
-  /// group-private force buffer; reads the shared fp_ (read-only here).
+  /// The force kernel over an explicit row set, into a group-private
+  /// force buffer; reads the shared fp_ (read-only here).
   void force_rows(const std::vector<int>& rows, const double* x, double* f,
                   const NeighborList& list, bool newton, int nlocal,
                   ForceResult& out) const;
@@ -68,16 +63,7 @@ class Eam final : public Potential {
   UniformSpline z2r_;
   std::vector<double> rho_;
   std::vector<double> fp_;
-
-  // Split-evaluation state (bound by split_begin, valid for one step).
-  Atoms* satoms_ = nullptr;
-  const NeighborList* slist_ = nullptr;
-  const ForceGroups* sgroups_ = nullptr;
-  bool snewton_ = true;
-  std::vector<std::vector<double>> grho_;    ///< per group, ntotal
-  std::vector<std::vector<double>> gforce_;  ///< per group, 3*ntotal
-  std::vector<ForceResult> gpartial_;
-  ForceResult stotal_;
+  std::vector<std::vector<double>> grho_;  ///< per group, ntotal
 };
 
 }  // namespace lmp::md

@@ -31,52 +31,12 @@ double LennardJones::pair_force_over_r(double r) const {
   return (lj1_ * inv6 * inv6 - lj2_ * inv6) * inv2;
 }
 
-ForceResult LennardJones::compute(Atoms& atoms, const NeighborList& list,
-                                  bool newton, GhostDataComm*) {
-  const double* x = atoms.x();
-  double* f = atoms.f();
-  const int nlocal = atoms.nlocal();
-  ForceResult out;
-
-  // Half list with newton: apply to both partners (ghost forces are
-  // reverse-communicated by the caller). Full list without newton:
-  // i-side only, 0.5-weighted tallies.
-  const double pair_weight = list.full ? 0.5 : 1.0;
-
-  for (int i = 0; i < nlocal; ++i) {
-    const double xi = x[3 * i], yi = x[3 * i + 1], zi = x[3 * i + 2];
-    double fxi = 0, fyi = 0, fzi = 0;
-    for (int k = list.offsets[i]; k < list.offsets[i + 1]; ++k) {
-      const int j = list.neigh[static_cast<std::size_t>(k)];
-      const double dx = xi - x[3 * j];
-      const double dy = yi - x[3 * j + 1];
-      const double dz = zi - x[3 * j + 2];
-      const double r2 = dx * dx + dy * dy + dz * dz;
-      if (r2 >= cut2_) continue;
-      const double inv2 = 1.0 / r2;
-      const double inv6 = inv2 * inv2 * inv2;
-      const double fpair = (lj1_ * inv6 * inv6 - lj2_ * inv6) * inv2;
-      fxi += dx * fpair;
-      fyi += dy * fpair;
-      fzi += dz * fpair;
-      if (!list.full && (newton || j < nlocal)) {
-        f[3 * j] -= dx * fpair;
-        f[3 * j + 1] -= dy * fpair;
-        f[3 * j + 2] -= dz * fpair;
-      }
-      out.energy += pair_weight * (lj3_ * inv6 * inv6 - lj4_ * inv6);
-      out.virial += pair_weight * r2 * fpair;
-    }
-    f[3 * i] += fxi;
-    f[3 * i + 1] += fyi;
-    f[3 * i + 2] += fzi;
-  }
-  return out;
-}
-
 void LennardJones::force_rows(const std::vector<int>& rows, const double* x,
                               double* f, const NeighborList& list, bool newton,
                               int nlocal, ForceResult& out) const {
+  // Half list with newton: apply to both partners (ghost forces are
+  // reverse-communicated by the caller). Full list without newton:
+  // i-side only, 0.5-weighted tallies.
   const double pair_weight = list.full ? 0.5 : 1.0;
   for (const int i : rows) {
     const double xi = x[3 * i], yi = x[3 * i + 1], zi = x[3 * i + 2];
@@ -108,23 +68,6 @@ void LennardJones::force_rows(const std::vector<int>& rows, const double* x,
   }
 }
 
-void LennardJones::split_begin(Atoms& atoms, const NeighborList& list,
-                               bool newton, const ForceGroups* groups) {
-  if (groups == nullptr) {
-    throw std::invalid_argument("LJ split_begin: null ForceGroups");
-  }
-  satoms_ = &atoms;
-  slist_ = &list;
-  sgroups_ = groups;
-  snewton_ = newton;
-  stotal_ = {};
-  const auto ng = static_cast<std::size_t>(groups->ngroups());
-  const auto n3 = static_cast<std::size_t>(3) * atoms.ntotal();
-  gforce_.resize(ng);
-  gpartial_.assign(ng, {});
-  for (auto& buf : gforce_) buf.assign(n3, 0.0);
-}
-
 void LennardJones::split_group(int pass, int g) {
   if (pass != 0) throw std::logic_error("LJ split: pass out of range");
   const auto gi = static_cast<std::size_t>(g);
@@ -134,19 +77,7 @@ void LennardJones::split_group(int pass, int g) {
 
 void LennardJones::split_join(int pass, GhostDataComm*) {
   if (pass != 0) throw std::logic_error("LJ split: pass out of range");
-  // Canonical reduction: groups in ascending mask order, elementwise.
-  // This fixed order is the whole determinism argument — it never
-  // depends on which worker finished first.
-  double* f = satoms_->f();
-  const auto n3 = static_cast<std::size_t>(3) * satoms_->ntotal();
-  for (std::size_t gi = 0; gi < gforce_.size(); ++gi) {
-    const double* buf = gforce_[gi].data();
-    for (std::size_t k = 0; k < n3; ++k) f[k] += buf[k];
-    stotal_.energy += gpartial_[gi].energy;
-    stotal_.virial += gpartial_[gi].virial;
-  }
+  reduce_forces();
 }
-
-ForceResult LennardJones::split_finish() { return stotal_; }
 
 }  // namespace lmp::md

@@ -13,29 +13,21 @@ class LennardJones final : public Potential {
  public:
   LennardJones(double epsilon, double sigma, double cutoff);
 
-  ForceResult compute(Atoms& atoms, const NeighborList& list, bool newton,
-                      GhostDataComm* ghost_comm) override;
-
   double cutoff() const override { return cutoff_; }
 
   /// Analytic pair energy/force magnitude (for tests).
   double pair_energy(double r) const;
   double pair_force_over_r(double r) const;
 
-  // Staged split evaluation: one force pass over per-group buffers,
-  // reduced canonically in split_join(0). See Potential for the contract.
+  // One force pass over per-group buffers, reduced canonically in
+  // split_join(0). See Potential for the contract.
   int split_passes() const override { return 1; }
-  void split_begin(Atoms& atoms, const NeighborList& list, bool newton,
-                   const ForceGroups* groups) override;
   void split_group(int pass, int g) override;
   void split_join(int pass, GhostDataComm* ghost_comm) override;
-  ForceResult split_finish() override;
 
  private:
-  /// The compute() loop body over an explicit row set, accumulating into
-  /// `f` (a group's private buffer in the split path). Identical
-  /// arithmetic and ordering to compute(), so a single all-atom group
-  /// reproduces the monolithic forces bitwise.
+  /// The force kernel over an explicit row set, accumulating into `f`
+  /// (a group's private buffer).
   void force_rows(const std::vector<int>& rows, const double* x, double* f,
                   const NeighborList& list, bool newton, int nlocal,
                   ForceResult& out) const;
@@ -45,15 +37,6 @@ class LennardJones final : public Potential {
   double cutoff_;
   double cut2_;
   double lj1_, lj2_, lj3_, lj4_;  // precomputed coefficient products
-
-  // Split-evaluation state (bound by split_begin, valid for one step).
-  Atoms* satoms_ = nullptr;
-  const NeighborList* slist_ = nullptr;
-  const ForceGroups* sgroups_ = nullptr;
-  bool snewton_ = true;
-  std::vector<std::vector<double>> gforce_;  ///< per group, 3*ntotal
-  std::vector<ForceResult> gpartial_;
-  ForceResult stotal_;
 };
 
 }  // namespace lmp::md

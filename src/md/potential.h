@@ -1,5 +1,7 @@
 #pragma once
 
+#include <vector>
+
 #include "md/atoms.h"
 #include "md/force_split.h"
 #include "md/neighbor.h"
@@ -31,60 +33,88 @@ class GhostDataComm {
 /// A pair-style potential. `newton` selects half-list (true, forces on
 /// both partners including ghosts, reverse-communicated afterwards by the
 /// caller) or full-list (false, forces on i only) evaluation.
+///
+/// Every force evaluation is a split evaluation: a sequence of per-group
+/// tasks the step DAG can schedule against in-flight ghost exchange.
+///
+///   split_begin(atoms, list, newton, groups)
+///   for pass in [0, split_passes()):
+///     split_group(pass, g)   for every group   (any order / concurrent)
+///     split_join(pass, ghost_comm)             (serial, canonical)
+///   result = split_finish()
+///
+/// Each split_group call writes only that group's private accumulation
+/// buffer (never atoms.f()), so concurrent groups cannot race; the force
+/// pass's join reduces the buffers in ascending group order — a fixed
+/// arithmetic order, which is what makes the barrier and async executors
+/// bitwise-identical. Interior groups (mask 0) read no ghost data in
+/// pass 0 and may run before the forward exchange completes; border
+/// groups may run as soon as every direction they read (group_reads_dir)
+/// has landed. compute_groups() runs the sequence above serially, which
+/// is exactly what the barrier executor does; compute() is the same run
+/// over one group holding every local atom.
+///
+/// The base class owns the bound inputs, the per-group force buffers and
+/// their canonical reduction; a potential supplies its row kernels
+/// (split_group) and any mid-pass step (split_join before the last pass).
 class Potential {
  public:
   virtual ~Potential() = default;
 
-  virtual ForceResult compute(Atoms& atoms, const NeighborList& list,
-                              bool newton, GhostDataComm* ghost_comm) = 0;
-
   virtual double cutoff() const = 0;
 
-  /// True if compute() communicates mid-evaluation (EAM).
-  virtual bool needs_mid_comm() const { return false; }
-
-  // --- staged split evaluation (asynchronous step runtime) -------------
-  //
-  // The split contract decomposes one force evaluation into per-group
-  // tasks the step DAG can schedule against in-flight ghost exchange:
-  //
-  //   split_begin(atoms, list, newton, groups)
-  //   for pass in [0, split_passes()):
-  //     split_group(pass, g)   for every group   (any order / concurrent)
-  //     split_join(pass, ghost_comm)             (serial, canonical)
-  //   result = split_finish()
-  //
-  // Each split_group call writes only that group's private accumulation
-  // buffer (never atoms.f()), so concurrent groups cannot race;
-  // split_join reduces the buffers in ascending group order — a fixed
-  // arithmetic order, which is what makes the barrier and async
-  // executors bitwise-identical. Interior groups (mask 0) read no ghost
-  // data in pass 0 and may run before the forward exchange completes;
-  // border groups may run as soon as every direction they read
-  // (group_reads_dir) has landed. Executing the sequence above serially
-  // is exactly what the barrier executor does.
-
   /// Number of split passes: 1 for plain pair styles, 2 for EAM (density
-  /// then force, with the mid-pair comm inside split_join(0)). 0 means
-  /// the potential does not support the split path.
-  virtual int split_passes() const { return 0; }
+  /// then force, with the mid-pair comm inside split_join(0)).
+  virtual int split_passes() const = 0;
 
   /// Bind one evaluation's inputs and zero the per-group buffers.
   /// `groups` must outlive the evaluation (rebuilt per neighbor epoch).
-  virtual void split_begin(Atoms& /*atoms*/, const NeighborList& /*list*/,
-                           bool /*newton*/, const ForceGroups* /*groups*/) {}
+  void split_begin(Atoms& atoms, const NeighborList& list, bool newton,
+                   const ForceGroups* groups);
 
   /// Compute group `g`'s contribution to pass `pass` into its private
   /// buffer. Thread-safe across distinct groups of the same pass.
-  virtual void split_group(int /*pass*/, int /*g*/) {}
+  virtual void split_group(int pass, int g) = 0;
 
-  /// Reduce pass `pass` in ascending group order and run any mid-pass
-  /// ghost communication (EAM rho reverse-add / fp forward). Serial.
-  virtual void split_join(int /*pass*/, GhostDataComm* /*ghost_comm*/) {}
+  /// Finish pass `pass`: the last pass reduces the force buffers
+  /// (reduce_forces); earlier passes run the potential's mid-pass step
+  /// (EAM rho reduction, reverse-add, embedding, fp forward). Serial.
+  virtual void split_join(int pass, GhostDataComm* ghost_comm) = 0;
 
   /// Energy/virial of the completed evaluation (summed per-group in
   /// ascending group order).
-  virtual ForceResult split_finish() { return {}; }
+  ForceResult split_finish() const { return stotal_; }
+
+  /// The whole split sequence over `groups`, serially in canonical order.
+  ForceResult compute_groups(Atoms& atoms, const NeighborList& list,
+                             bool newton, const ForceGroups& groups,
+                             GhostDataComm* ghost_comm);
+
+  /// compute_groups() over one group holding every local atom. Forces
+  /// are added to atoms.f(); the caller zeroes it first.
+  ForceResult compute(Atoms& atoms, const NeighborList& list, bool newton,
+                      GhostDataComm* ghost_comm);
+
+ protected:
+  /// Size and zero the potential's own per-evaluation scratch; called
+  /// at the end of split_begin, with the inputs already bound.
+  virtual void begin_scratch() {}
+
+  /// Add the per-group force buffers into atoms.f() and the per-group
+  /// energy/virial into the total, in ascending group order.
+  void reduce_forces();
+
+  // Split-evaluation state (bound by split_begin, valid for one step).
+  Atoms* satoms_ = nullptr;
+  const NeighborList* slist_ = nullptr;
+  const ForceGroups* sgroups_ = nullptr;
+  bool snewton_ = true;
+  std::vector<std::vector<double>> gforce_;  ///< per group, 3*ntotal
+  std::vector<ForceResult> gpartial_;
+  ForceResult stotal_;
+
+ private:
+  ForceGroups all_local_;  ///< compute()'s single group
 };
 
 }  // namespace lmp::md

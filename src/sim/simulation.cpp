@@ -314,8 +314,7 @@ class RankSim {
     // --- step executor ------------------------------------------------
     sub_ = sub;
     rc_ = rc;
-    exec_async_ =
-        job.opt.executor == "async" && potential_->split_passes() > 0;
+    exec_async_ = job.opt.executor == "async";
     if (exec_async_) {
       dag_pool_ = std::make_unique<pool::SpinThreadPool>(
           std::max(1, job.opt.executor_threads));
@@ -385,7 +384,7 @@ class RankSim {
         // The step DAG issues the forward exchange itself and overlaps
         // interior force tasks with the in-flight ghost data (ghost
         // flips land via the DAG's task.inject node).
-        compute_forces_async();
+        compute_forces(/*dag=*/true);
       } else {
         {
           util::ScopedStage s(timer_, Stage::kComm);
@@ -464,61 +463,38 @@ class RankSim {
       // neighbor epoch: atoms keep their group until the next rebuild
       // (the list is frozen, so interior rows cannot grow ghost
       // neighbors mid-epoch).
-      if (potential_->split_passes() > 0) {
-        groups_ = md::ForceGroups::build(atoms_, sub_, rc_);
-        if (exec_async_) build_step_graph();
-      }
+      groups_ = md::ForceGroups::build(atoms_, sub_, rc_);
+      if (exec_async_) build_step_graph();
     }
   }
 
-  void compute_forces() {
+  /// One force evaluation. The serial path runs the split sequence in
+  /// canonical order; `dag` runs the same nodes as this epoch's step
+  /// DAG, which also carries the forward exchange, so on async
+  /// non-rebuild steps the whole thing is charged to Pair — overlapped
+  /// communication is hidden time by design (the trace spans keep the
+  /// full attribution; see DESIGN.md section 12).
+  void compute_forces(bool dag = false) {
     {
       // EAM's mid-pair rho/fp exchanges happen inside the pair stage and
       // are therefore charged to Pair, matching the paper's accounting.
       util::ScopedStage s(timer_, Stage::kPair);
       atoms_.zero_forces();
-      if (potential_->split_passes() > 0) {
-        // Serial canonical split — the exact task sequence the async
-        // DAG runs, executed in its canonical order, which is what
-        // makes the two executors bitwise-identical.
+      if (dag) {
         potential_->split_begin(atoms_, list_, job_.opt.config.newton,
                                 &groups_);
-        for (int pass = 0; pass < potential_->split_passes(); ++pass) {
-          for (int g = 0; g < groups_.ngroups(); ++g) {
-            potential_->split_group(pass, g);
-          }
-          potential_->split_join(pass, comm_.get());
-        }
+        graph_->run(dag_pool_.get());
         last_force_ = potential_->split_finish();
       } else {
-        last_force_ = potential_->compute(atoms_, list_,
-                                          job_.opt.config.newton, comm_.get());
+        last_force_ = potential_->compute_groups(
+            atoms_, list_, job_.opt.config.newton, groups_, comm_.get());
+        // Same data point as the async DAG's task.guard node, so both
+        // executors feed check_integrity an identical verdict.
+        if (job_.opt.integrity.enabled()) guard_prescan();
       }
-      // Same data point as the async DAG's task.guard node, so both
-      // executors feed check_integrity an identical verdict.
-      if (job_.opt.integrity.enabled()) guard_prescan();
     }
     if (job_.opt.config.newton) {
       // Ghost-force return is a Comm-stage cost in LAMMPS accounting.
-      util::ScopedStage r(timer_, Stage::kComm);
-      comm_->reverse_forces();
-    }
-  }
-
-  /// Async non-rebuild step: the DAG carries the forward exchange, so
-  /// the whole thing is charged to Pair — overlapped communication is
-  /// hidden time by design (the trace spans keep the full attribution;
-  /// see DESIGN.md section 12).
-  void compute_forces_async() {
-    {
-      util::ScopedStage s(timer_, Stage::kPair);
-      atoms_.zero_forces();
-      potential_->split_begin(atoms_, list_, job_.opt.config.newton,
-                              &groups_);
-      graph_->run(dag_pool_.get());
-      last_force_ = potential_->split_finish();
-    }
-    if (job_.opt.config.newton) {
       util::ScopedStage r(timer_, Stage::kComm);
       comm_->reverse_forces();
     }

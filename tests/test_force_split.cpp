@@ -89,146 +89,142 @@ TEST(GroupReadsDir, MatchesBandMaskSemantics) {
   EXPECT_FALSE(group_reads_dir(edge, 1, 1, 1));  // lacks high-z
 }
 
-TEST(LjSplit, SingleGroupMatchesMonolithicBitwise) {
-  // One all-interior group runs the identical loop over the identical
-  // rows into a zeroed buffer: forces, energy and virial must match the
-  // monolithic kernel bit for bit.
-  LennardJones lj_a(1.0, 1.0, 2.5), lj_b(1.0, 1.0, 2.5);
-  Atoms a = cluster(60, 5.0, 42u);
-  Atoms b = cluster(60, 5.0, 42u);
+/// Half list for Newton on, full list for Newton off — the two list
+/// kinds the simulation runs the split on.
+NeighborList list_for(const NeighborBuilder& nb, const Atoms& a, bool newton) {
+  return newton ? nb.build_half(a, HalfRule::kCoordTieBreak)
+                : nb.build_full(a);
+}
+
+/// The split sequence with each pass's groups run in ascending or
+/// descending order.
+ForceResult run_split(Potential& pot, Atoms& at, const NeighborList& l,
+                      bool newton, const ForceGroups& fg, bool reverse) {
+  at.zero_forces();
+  pot.split_begin(at, l, newton, &fg);
+  for (int pass = 0; pass < pot.split_passes(); ++pass) {
+    for (int k = 0; k < fg.ngroups(); ++k) {
+      pot.split_group(pass, reverse ? fg.ngroups() - 1 - k : k);
+    }
+    pot.split_join(pass, nullptr);
+  }
+  return pot.split_finish();
+}
+
+void expect_bitwise(const Atoms& a, const ForceResult& ra, const Atoms& b,
+                    const ForceResult& rb) {
+  for (int k = 0; k < 3 * a.ntotal(); ++k) {
+    ASSERT_EQ(bits(a.f()[k]), bits(b.f()[k])) << "force component " << k;
+  }
+  EXPECT_EQ(bits(ra.energy), bits(rb.energy));
+  EXPECT_EQ(bits(ra.virial), bits(rb.virial));
+}
+
+/// Banding reassociates per-atom sums, so one group and many agree to
+/// rounding: force components within 1e-12 of the largest component,
+/// energy and virial within 1e-12 relative.
+void expect_near(const Atoms& a, const ForceResult& ra, const Atoms& b,
+                 const ForceResult& rb) {
+  double fmax = 1.0;
+  for (int k = 0; k < 3 * a.ntotal(); ++k) fmax = std::max(fmax, std::abs(a.f()[k]));
+  for (int k = 0; k < 3 * a.ntotal(); ++k) {
+    ASSERT_NEAR(a.f()[k], b.f()[k], 1e-12 * fmax) << "force component " << k;
+  }
+  EXPECT_NEAR(ra.energy, rb.energy, 1e-12 * std::max(1.0, std::abs(ra.energy)));
+  EXPECT_NEAR(ra.virial, rb.virial, 1e-12 * std::max(1.0, std::abs(ra.virial)));
+}
+
+TEST(LjSplit, OneGroupComputeMatchesBandedSplit) {
+  // compute() is the split over one all-local group; the banded run
+  // sums the same pairs through many private buffers.
+  LennardJones lj(1.0, 1.0, 2.5);
+  Atoms a = cluster(80, 6.0, 42u);
+  Atoms b = cluster(80, 6.0, 42u);
   const NeighborBuilder nb(2.8);
   const NeighborList la = nb.build_half(a, HalfRule::kCoordTieBreak);
   const NeighborList lb = nb.build_half(b, HalfRule::kCoordTieBreak);
 
   a.zero_forces();
-  const ForceResult mono = lj_a.compute(a, la, true, nullptr);
+  const ForceResult one = lj.compute(a, la, true, nullptr);
 
-  const geom::Box sub{{-100, -100, -100}, {100, 100, 100}};
-  const ForceGroups fg = ForceGroups::build(b, sub, 2.8);
-  ASSERT_EQ(fg.ngroups(), 1);
-  b.zero_forces();
-  lj_b.split_begin(b, lb, true, &fg);
-  lj_b.split_group(0, 0);
-  lj_b.split_join(0, nullptr);
-  const ForceResult split = lj_b.split_finish();
-
-  for (int k = 0; k < 3 * a.ntotal(); ++k) {
-    ASSERT_EQ(bits(a.f()[k]), bits(b.f()[k])) << "force component " << k;
-  }
-  EXPECT_EQ(bits(mono.energy), bits(split.energy));
-  EXPECT_EQ(bits(mono.virial), bits(split.virial));
+  const geom::Box sub{{0, 0, 0}, {6, 6, 6}};
+  const ForceGroups fg = ForceGroups::build(b, sub, 2.0);
+  ASSERT_GT(fg.ngroups(), 2);
+  const ForceResult banded = run_split(lj, b, lb, true, fg, false);
+  expect_near(a, one, b, banded);
 }
 
 TEST(LjSplit, GroupExecutionOrderDoesNotChangeBits) {
   // Groups write private buffers and the join reduces in ascending
   // order, so running split_group in any order gives identical bits —
-  // the async executor's determinism argument, in miniature.
-  LennardJones lj_a(1.0, 1.0, 2.5), lj_b(1.0, 1.0, 2.5);
-  Atoms a = cluster(80, 6.0, 9u);
-  Atoms b = cluster(80, 6.0, 9u);
-  const NeighborBuilder nb(2.8);
-  const NeighborList la = nb.build_half(a, HalfRule::kCoordTieBreak);
-  const NeighborList lb = nb.build_half(b, HalfRule::kCoordTieBreak);
-  const geom::Box sub{{0, 0, 0}, {6, 6, 6}};
-  const ForceGroups fga = ForceGroups::build(a, sub, 2.0);
-  const ForceGroups fgb = ForceGroups::build(b, sub, 2.0);
-  ASSERT_GT(fga.ngroups(), 2);
+  // the async executor's determinism argument, in miniature. Checked
+  // on the half list (Newton on) and the full list (Newton off).
+  for (const bool newton : {true, false}) {
+    SCOPED_TRACE(newton ? "newton on, half list" : "newton off, full list");
+    LennardJones lj_a(1.0, 1.0, 2.5), lj_b(1.0, 1.0, 2.5);
+    Atoms a = cluster(80, 6.0, 9u);
+    Atoms b = cluster(80, 6.0, 9u);
+    const NeighborBuilder nb(2.8);
+    const NeighborList la = list_for(nb, a, newton);
+    const NeighborList lb = list_for(nb, b, newton);
+    const geom::Box sub{{0, 0, 0}, {6, 6, 6}};
+    const ForceGroups fga = ForceGroups::build(a, sub, 2.0);
+    const ForceGroups fgb = ForceGroups::build(b, sub, 2.0);
+    ASSERT_GT(fga.ngroups(), 2);
 
-  a.zero_forces();
-  lj_a.split_begin(a, la, true, &fga);
-  for (int g = 0; g < fga.ngroups(); ++g) lj_a.split_group(0, g);
-  lj_a.split_join(0, nullptr);
-  const ForceResult fwd = lj_a.split_finish();
-
-  b.zero_forces();
-  lj_b.split_begin(b, lb, true, &fgb);
-  for (int g = fgb.ngroups() - 1; g >= 0; --g) lj_b.split_group(0, g);
-  lj_b.split_join(0, nullptr);
-  const ForceResult rev = lj_b.split_finish();
-
-  for (int k = 0; k < 3 * a.ntotal(); ++k) {
-    ASSERT_EQ(bits(a.f()[k]), bits(b.f()[k]));
+    const ForceResult fwd = run_split(lj_a, a, la, newton, fga, false);
+    const ForceResult rev = run_split(lj_b, b, lb, newton, fgb, true);
+    expect_bitwise(a, fwd, b, rev);
   }
-  EXPECT_EQ(bits(fwd.energy), bits(rev.energy));
-  EXPECT_EQ(bits(fwd.virial), bits(rev.virial));
 }
 
-TEST(EamSplit, SingleGroupForcesAndRhoBitwiseEnergyNear) {
+TEST(EamSplit, OneGroupComputeMatchesBandedSplit) {
   const EamTable table =
       parse_funcfl(to_funcfl(make_cu_like_table(2000, 2000, 4.95)));
   Eam eam_a(table), eam_b(table);
-  Atoms a = cluster(40, 8.0, 11u);
-  Atoms b = cluster(40, 8.0, 11u);
+  Atoms a = cluster(60, 9.0, 11u);
+  Atoms b = cluster(60, 9.0, 11u);
   const NeighborBuilder nb(5.3);
   const NeighborList la = nb.build_half(a, HalfRule::kCoordTieBreak);
   const NeighborList lb = nb.build_half(b, HalfRule::kCoordTieBreak);
 
   a.zero_forces();
-  const ForceResult mono = eam_a.compute(a, la, true, nullptr);
+  const ForceResult one = eam_a.compute(a, la, true, nullptr);
 
-  const geom::Box sub{{-100, -100, -100}, {100, 100, 100}};
-  const ForceGroups fg = ForceGroups::build(b, sub, 5.3);
-  ASSERT_EQ(fg.ngroups(), 1);
-  b.zero_forces();
-  eam_b.split_begin(b, lb, true, &fg);
-  eam_b.split_group(0, 0);
-  eam_b.split_join(0, nullptr);
-  eam_b.split_group(1, 0);
-  eam_b.split_join(1, nullptr);
-  const ForceResult split = eam_b.split_finish();
+  const geom::Box sub{{0, 0, 0}, {9, 9, 9}};
+  const ForceGroups fg = ForceGroups::build(b, sub, 3.0);
+  ASSERT_GT(fg.ngroups(), 2);
+  const ForceResult banded = run_split(eam_b, b, lb, true, fg, false);
 
   ASSERT_EQ(eam_a.last_rho().size(), eam_b.last_rho().size());
   for (std::size_t i = 0; i < eam_a.last_rho().size(); ++i) {
-    ASSERT_EQ(bits(eam_a.last_rho()[i]), bits(eam_b.last_rho()[i]));
+    ASSERT_NEAR(eam_a.last_rho()[i], eam_b.last_rho()[i],
+                1e-12 * std::max(1.0, std::abs(eam_a.last_rho()[i])))
+        << "rho of atom " << i;
   }
-  for (int k = 0; k < 3 * a.ntotal(); ++k) {
-    ASSERT_EQ(bits(a.f()[k]), bits(b.f()[k])) << "force component " << k;
-  }
-  // The split accumulates embedding and pair energy in separate sums
-  // (different association than the interleaved monolithic loop), so
-  // energy agrees to rounding, not bitwise.
-  EXPECT_NEAR(split.energy, mono.energy,
-              1e-12 * std::max(1.0, std::abs(mono.energy)));
-  EXPECT_NEAR(split.virial, mono.virial,
-              1e-12 * std::max(1.0, std::abs(mono.virial)));
+  expect_near(a, one, b, banded);
 }
 
 TEST(EamSplit, GroupExecutionOrderDoesNotChangeBits) {
   const EamTable table =
       parse_funcfl(to_funcfl(make_cu_like_table(2000, 2000, 4.95)));
-  Eam eam_a(table), eam_b(table);
-  Atoms a = cluster(60, 9.0, 23u);
-  Atoms b = cluster(60, 9.0, 23u);
-  const NeighborBuilder nb(5.3);
-  const NeighborList la = nb.build_half(a, HalfRule::kCoordTieBreak);
-  const NeighborList lb = nb.build_half(b, HalfRule::kCoordTieBreak);
-  const geom::Box sub{{0, 0, 0}, {9, 9, 9}};
-  const ForceGroups fga = ForceGroups::build(a, sub, 3.0);
-  const ForceGroups fgb = ForceGroups::build(b, sub, 3.0);
-  ASSERT_GT(fga.ngroups(), 1);
+  for (const bool newton : {true, false}) {
+    SCOPED_TRACE(newton ? "newton on, half list" : "newton off, full list");
+    Eam eam_a(table), eam_b(table);
+    Atoms a = cluster(60, 9.0, 23u);
+    Atoms b = cluster(60, 9.0, 23u);
+    const NeighborBuilder nb(5.3);
+    const NeighborList la = list_for(nb, a, newton);
+    const NeighborList lb = list_for(nb, b, newton);
+    const geom::Box sub{{0, 0, 0}, {9, 9, 9}};
+    const ForceGroups fga = ForceGroups::build(a, sub, 3.0);
+    const ForceGroups fgb = ForceGroups::build(b, sub, 3.0);
+    ASSERT_GT(fga.ngroups(), 1);
 
-  const auto run = [](Eam& eam, Atoms& at, const NeighborList& l,
-                      const ForceGroups& fg, bool reverse) {
-    at.zero_forces();
-    eam.split_begin(at, l, true, &fg);
-    for (int pass = 0; pass < 2; ++pass) {
-      if (reverse) {
-        for (int g = fg.ngroups() - 1; g >= 0; --g) eam.split_group(pass, g);
-      } else {
-        for (int g = 0; g < fg.ngroups(); ++g) eam.split_group(pass, g);
-      }
-      eam.split_join(pass, nullptr);
-    }
-    return eam.split_finish();
-  };
-  const ForceResult fwd = run(eam_a, a, la, fga, false);
-  const ForceResult rev = run(eam_b, b, lb, fgb, true);
-
-  for (int k = 0; k < 3 * a.ntotal(); ++k) {
-    ASSERT_EQ(bits(a.f()[k]), bits(b.f()[k]));
+    const ForceResult fwd = run_split(eam_a, a, la, newton, fga, false);
+    const ForceResult rev = run_split(eam_b, b, lb, newton, fgb, true);
+    expect_bitwise(a, fwd, b, rev);
   }
-  EXPECT_EQ(bits(fwd.energy), bits(rev.energy));
-  EXPECT_EQ(bits(fwd.virial), bits(rev.virial));
 }
 
 }  // namespace

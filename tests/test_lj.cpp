@@ -110,6 +110,12 @@ TEST(LennardJones, FullListHalvesEnergyTallies) {
   EXPECT_NEAR(a.force(0).x, f_half.x, 1e-12);
 }
 
+TEST(LennardJones, CutoffAndSplitPasses) {
+  LennardJones lj(1.0, 1.0, 2.5);
+  EXPECT_DOUBLE_EQ(lj.cutoff(), 2.5);
+  EXPECT_EQ(lj.split_passes(), 1);
+}
+
 TEST(LennardJones, InvalidParamsThrow) {
   EXPECT_THROW(LennardJones(0.0, 1.0, 2.5), std::invalid_argument);
   EXPECT_THROW(LennardJones(1.0, -1.0, 2.5), std::invalid_argument);
