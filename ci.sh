@@ -244,9 +244,10 @@ run_integrity_smoke() {
 }
 
 # Executor smoke: the async task-graph executor must reproduce the
-# barrier executor's trajectory bit for bit on the golden melt (the
-# 6tni_p2p engine, whose per-direction forward channels the step DAG
-# genuinely overlaps with interior force groups), and its traced
+# barrier executor's trajectory bit for bit on the EAM copper example
+# (ref) and on the golden melt (the 6tni_p2p engine, whose
+# per-direction forward channels the step DAG genuinely overlaps with
+# interior force groups); on the melt its traced
 # notice_wait attribution must come in below the barrier run's — the
 # overlap fills dispatcher-wait time with interior force work. Wait
 # times are wall-clock on a shared host, so a near-tie gets ONE retry
@@ -257,6 +258,16 @@ run_executor_smoke() {
   local work
   work=$(mktemp -d)
   trap 'rm -rf "${work}"' RETURN
+  # EAM on ref: the two-pass DAG (density, mid-pair comm, force), whose
+  # groups zero their own buffers inside their tasks.
+  local ex
+  for ex in barrier async; do
+    "${build_dir}/examples/lmp_cli" examples/in.eam.cu ref --executor "${ex}" \
+        --dump-final "${work}/eam.${ex}.dump" > /dev/null
+  done
+  diff "${work}/eam.barrier.dump" "${work}/eam.async.dump" \
+      || { echo "executor smoke: EAM async trajectory diverged from barrier"; return 1; }
+  echo "executor smoke: EAM (ref) trajectories bitwise-identical"
   local attempt
   for attempt in 1 2; do
     "${build_dir}/examples/lmp_cli" examples/in.melt.lj 6tni_p2p \
@@ -536,7 +547,9 @@ if [[ "${1:-}" == "--fast" ]]; then
 fi
 
 echo "=== pass 2: ASan+UBSan build + ctest ==="
-cmake -B build-ci-asan -S . -DLMP_WERROR=ON -DLMP_SANITIZE=address,undefined
+# -fno-sanitize-recover: any UBSan report aborts the test that hit it.
+cmake -B build-ci-asan -S . -DLMP_WERROR=ON -DLMP_SANITIZE=address,undefined \
+    -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined
 cmake --build build-ci-asan -j "${JOBS}"
 ctest --test-dir build-ci-asan --output-on-failure -j "${JOBS}"
 run_restart_smoke build-ci-asan

@@ -24,7 +24,8 @@ std::vector<double> MpiBrickTransport::sendrecv(MsgKind kind, int channel,
   const auto bytes = std::as_bytes(payload);
   const std::vector<std::byte> raw = world_->sendrecv(rank_, dst, src, tag, bytes);
   std::vector<double> out(raw.size() / sizeof(double));
-  std::memcpy(out.data(), raw.data(), raw.size());
+  // An empty receive has null data(); memcpy from null is UB even for 0 bytes.
+  if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
   return out;
 }
 

@@ -97,6 +97,13 @@ void CommP2p::setup() {
     mine.vcq[static_cast<std::size_t>(t)] = vcq_[static_cast<std::size_t>(t)];
     dispatch_[static_cast<std::size_t>(t)] =
         NoticeDispatcher(net_, vcq_[static_cast<std::size_t>(t)]);
+    // Without Newton no reverse stage paces the forward (forward_begin):
+    // a neighbor can send step n+2 before this rank consumed its step
+    // n+1, but not n+3, which needs this rank's own step-(n+2) forward.
+    if (!ctx_.newton) {
+      dispatch_[static_cast<std::size_t>(t)].set_max_outstanding(
+          MsgKind::kForward, 2);
+    }
   }
 
   // Pre-registered buffers (Sec. 3.4): rings sized from the plan's

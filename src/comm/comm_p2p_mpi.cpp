@@ -24,7 +24,8 @@ std::vector<double> CommP2pMpi::recv_payload(MsgKind kind, int dir) {
   const std::vector<std::byte> raw =
       world_->recv(ctx_.rank, plan_.recv_peer(dir), tag_for(kind, dir));
   std::vector<double> out(raw.size() / sizeof(double));
-  std::memcpy(out.data(), raw.data(), raw.size());
+  // An empty receive has null data(); memcpy from null is UB even for 0 bytes.
+  if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
   return out;
 }
 

@@ -44,6 +44,9 @@ inline const char* wait_span_name(MsgKind k) {
 
 inline constexpr int kKindCount = static_cast<int>(MsgKind::kCount);
 inline constexpr int kMaxDirs = 26;
+/// Deepest per-channel stash a dispatcher can be configured for (see
+/// NoticeDispatcher::set_max_outstanding).
+inline constexpr int kMaxOutstanding = 2;
 
 /// Knobs of the receiver-driven reliability protocol (active only when
 /// `NoticeDispatcher::enable_reliability` has been called).
@@ -85,7 +88,10 @@ struct DispatcherCounters {
 /// neighbor's forward for step n+1 can land while we still collect
 /// reverse notices for step n). The engine's stage ordering guarantees at
 /// most ONE outstanding message per (kind, direction, sender), so a
-/// single stash slot per (kind, direction) suffices to reorder.
+/// single stash slot per (kind, direction) suffices to reorder — except
+/// where a comm engine declares a deeper bound for a kind
+/// (set_max_outstanding); stashed notices of one channel are delivered
+/// in arrival order.
 ///
 /// With reliability enabled (fault-injected runs), the dispatcher also
 /// tracks per-channel sequence numbers: stale or duplicate notices are
@@ -118,6 +124,17 @@ class NoticeDispatcher {
   }
   const DispatcherCounters& counters() const { return counters_; }
 
+  /// Let channels of `kind` hold up to `n` unconsumed notices (1 by
+  /// default; at most kMaxOutstanding). For a protocol whose pacing
+  /// bounds the run-ahead above one, such as the Newton-off ring forward
+  /// (CommP2p::setup). One more than the bound is still a logic_error.
+  void set_max_outstanding(MsgKind kind, int n) {
+    if (n < 1 || n > kMaxOutstanding) {
+      throw std::invalid_argument("NoticeDispatcher: max outstanding out of range");
+    }
+    extra_outstanding_[static_cast<int>(kind)] = n - 1;
+  }
+
   /// Re-admit a replay of the last-seen message on (kind, dir): called
   /// after a CRC reject, whose retransmit re-uses the rejected seq.
   void accept_retransmit(MsgKind kind, int dir) {
@@ -144,15 +161,17 @@ class NoticeDispatcher {
     const obs::TraceSpan wait_span(obs::TraceCat::kComm,
                                    detail::wait_span_name(kind));
     LMP_ALLOC_SCOPE(detail::wait_span_name(kind));
-    auto& slot = stash_[static_cast<int>(kind)][dir];
-    if (slot) {
-      const Edata e = slot->e;
-      if (slot->flow != 0) {
-        LMP_TRACE_FLOW(obs::TraceCat::kComm, obs::kMsgFlowName, slot->flow,
+    StashQueue& slot = stash_[static_cast<int>(kind)][dir];
+    int ready = 0;
+    while (ready < slot.count && !next_in_order(slot.items[ready].e)) ++ready;
+    if (ready < slot.count) {
+      const Stashed s = slot.take(ready);
+      bump_seq(s.e);
+      if (s.flow != 0) {
+        LMP_TRACE_FLOW(obs::TraceCat::kComm, obs::kMsgFlowName, s.flow,
                        obs::TraceEvent::kFlowFinish);
       }
-      slot.reset();
-      return e;
+      return s.e;
     }
     const auto start = std::chrono::steady_clock::now();
     const std::int64_t wait_t0 = obs::metrics_enabled() ? obs::now_ns() : 0;
@@ -166,7 +185,7 @@ class NoticeDispatcher {
           LMP_TRACE_INSTANT(obs::TraceCat::kComm, "notice.dup_dropped");
           continue;
         }
-        if (e.kind == kind && e.dir == dir) {
+        if (e.kind == kind && e.dir == dir && next_in_order(e)) {
           bump_seq(e);
           if (obs::metrics_enabled()) {
             detail::notice_wait_hist().record(
@@ -178,22 +197,20 @@ class NoticeDispatcher {
           }
           return e;
         }
-        auto& other = stash_[static_cast<int>(e.kind)][e.dir];
-        if (other) {
-          if (reliable_ && other->e.seq == e.seq) {
-            // Same message delivered twice with the stash still full —
-            // a duplicate that raced past the seq filter via the stash.
-            counters_.duplicates_dropped.fetch_add(1,
-                                                   std::memory_order_relaxed);
-            LMP_TRACE_INSTANT(obs::TraceCat::kComm, "notice.dup_dropped");
-            continue;
-          }
-          throw std::logic_error(
-              "two outstanding messages on one (kind, dir) channel — stage "
-              "ordering violated");
+        StashQueue& other = stash_[static_cast<int>(e.kind)][e.dir];
+        if (reliable_ && other.find_seq(e.seq) >= 0) {
+          // Same message delivered twice with it still stashed — a
+          // duplicate that raced past the seq filter via the stash.
+          counters_.duplicates_dropped.fetch_add(1, std::memory_order_relaxed);
+          LMP_TRACE_INSTANT(obs::TraceCat::kComm, "notice.dup_dropped");
+          continue;
         }
-        bump_seq(e);
-        other = Stashed{e, notice->flow_id};
+        if (other.count > extra_outstanding_[static_cast<int>(e.kind)]) {
+          throw std::logic_error(
+              "too many outstanding messages on one (kind, dir) channel — "
+              "stage ordering violated");
+        }
+        other.push(Stashed{e, notice->flow_id});
         continue;
       }
       if ((spin & 0x3FF) == 0) {
@@ -226,13 +243,23 @@ class NoticeDispatcher {
   void drain_tcq() { net_->wait_tcq(vcq_, params_.wait_deadline); }
 
  private:
-  /// Signed wraparound compare: seq at or behind the last accepted one on
+  /// Signed wraparound compare: seq at or behind the last consumed one on
   /// this channel means duplicate or stale (e.g. a delayed original whose
-  /// replay already arrived).
+  /// replay already arrived). Stashed notices count once consumed, so
+  /// accept_retransmit always re-admits the notice a wait just returned.
   bool stale_or_dup(const Edata& e) const {
     const std::uint8_t last = last_seq_[static_cast<int>(e.kind)][e.dir];
     if (!seq_seen_[static_cast<int>(e.kind)][e.dir]) return false;
     return static_cast<std::int8_t>(e.seq - last) <= 0;
+  }
+  /// Whether `e` may complete a wait on its channel now. A channel allowed
+  /// more than one outstanding notice completes in seq order under
+  /// reliability, so a replay of a CRC-rejected notice is never overtaken
+  /// by its already-delivered successor; a one-deep channel never sees a
+  /// successor early.
+  bool next_in_order(const Edata& e) const {
+    return !reliable_ || extra_outstanding_[static_cast<int>(e.kind)] == 0 ||
+           e.seq == expected_seq(e.kind, e.dir);
   }
   void bump_seq(const Edata& e) {
     if (!reliable_) return;
@@ -254,10 +281,30 @@ class NoticeDispatcher {
     Edata e;
     std::uint64_t flow = 0;
   };
+  /// One channel's parked notices, oldest first.
+  struct StashQueue {
+    Stashed items[kMaxOutstanding] = {};
+    int count = 0;
+
+    void push(const Stashed& s) { items[count++] = s; }
+    Stashed take(int i) {
+      const Stashed out = items[i];
+      for (int k = i + 1; k < count; ++k) items[k - 1] = items[k];
+      --count;
+      return out;
+    }
+    int find_seq(std::uint8_t seq) const {
+      for (int i = 0; i < count; ++i) {
+        if (items[i].e.seq == seq) return i;
+      }
+      return -1;
+    }
+  };
 
   tofu::Network* net_ = nullptr;
   tofu::VcqId vcq_ = tofu::kInvalidVcq;
-  std::optional<Stashed> stash_[kKindCount][kMaxDirs] = {};
+  StashQueue stash_[kKindCount][kMaxDirs] = {};
+  int extra_outstanding_[kKindCount] = {};  ///< allowed beyond one, per kind
   std::uint8_t last_seq_[kKindCount][kMaxDirs];
   bool seq_seen_[kKindCount][kMaxDirs];
   bool reliable_ = false;

@@ -37,7 +37,9 @@ void Eam::rho_rows(const std::vector<int>& rows, const double* x, double* rho,
 void Eam::force_rows(const std::vector<int>& rows, const double* x, double* f,
                      const NeighborList& list, bool newton, int nlocal,
                      ForceResult& out) const {
+  // Energy and virial accumulate in registers (see LennardJones).
   const double pair_weight = list.full ? 0.5 : 1.0;
+  double energy = 0.0, virial = 0.0;
   for (const int i : rows) {
     double fxi = 0, fyi = 0, fzi = 0;
     for (int k = list.offsets[i]; k < list.offsets[i + 1]; ++k) {
@@ -69,13 +71,15 @@ void Eam::force_rows(const std::vector<int>& rows, const double* x, double* f,
         f[3 * j + 1] -= dy * fpair;
         f[3 * j + 2] -= dz * fpair;
       }
-      out.energy += pair_weight * phi;
-      out.virial += pair_weight * r2 * fpair;
+      energy += pair_weight * phi;
+      virial += pair_weight * r2 * fpair;
     }
     f[3 * i] += fxi;
     f[3 * i + 1] += fyi;
     f[3 * i + 2] += fzi;
   }
+  out.energy += energy;
+  out.virial += virial;
 }
 
 void Eam::begin_scratch() {
@@ -84,18 +88,20 @@ void Eam::begin_scratch() {
   rho_.assign(n, 0.0);
   fp_.assign(n, 0.0);
   grho_.resize(ng);
-  for (auto& buf : grho_) buf.assign(n, 0.0);
+  for (auto& buf : grho_) buf.resize(n);
 }
 
 void Eam::split_group(int pass, int g) {
   const auto gi = static_cast<std::size_t>(g);
-  const auto& rows = sgroups_->groups[gi].atoms;
+  const ForceGroup& grp = sgroups_->groups[gi];
   if (pass == 0) {
-    rho_rows(rows, satoms_->x(), grho_[gi].data(), *slist_, snewton_,
+    double* rho = grho_[gi].data();
+    zero_footprint<1>(grp.footprint, rho);
+    rho_rows(grp.atoms, satoms_->x(), rho, *slist_, snewton_,
              satoms_->nlocal());
   } else if (pass == 1) {
-    force_rows(rows, satoms_->x(), gforce_[gi].data(), *slist_, snewton_,
-               satoms_->nlocal(), gpartial_[gi]);
+    force_rows(grp.atoms, satoms_->x(), zeroed_group_forces(g), *slist_,
+               snewton_, satoms_->nlocal(), gpartial_[gi]);
   } else {
     throw std::logic_error("EAM split: pass out of range");
   }
@@ -104,12 +110,12 @@ void Eam::split_group(int pass, int g) {
 void Eam::split_join(int pass, GhostDataComm* ghost_comm) {
   if (pass == 0) {
     // Canonical density reduction (group by group in ascending mask
-    // order), then the two mid-pair comms and the embedding term.
+    // order, each over its footprint — see reduce_forces for why that
+    // keeps the bits), then the two mid-pair comms and the embedding term.
     const int nlocal = satoms_->nlocal();
-    const auto n = static_cast<std::size_t>(satoms_->ntotal());
     for (std::size_t gi = 0; gi < grho_.size(); ++gi) {
-      const double* buf = grho_[gi].data();
-      for (std::size_t k = 0; k < n; ++k) rho_[k] += buf[k];
+      add_footprint<1>(sgroups_->groups[gi].footprint, grho_[gi].data(),
+                       rho_.data());
     }
     if (snewton_ && ghost_comm != nullptr) {
       ghost_comm->reverse_add(rho_.data());

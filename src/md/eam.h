@@ -63,7 +63,7 @@ class Eam final : public Potential {
   UniformSpline z2r_;
   std::vector<double> rho_;
   std::vector<double> fp_;
-  std::vector<std::vector<double>> grho_;  ///< per group, ntotal
+  std::vector<std::vector<double>> grho_;  ///< per group, ntotal; live on its footprint
 };
 
 }  // namespace lmp::md

@@ -4,6 +4,7 @@
 
 #include "geom/box.h"
 #include "md/atoms.h"
+#include "md/neighbor.h"
 
 namespace lmp::md {
 
@@ -25,9 +26,16 @@ enum BandBit : int {
 /// One force task's atom set: the local atoms sharing a band mask, in
 /// ascending local index order (which is ascending build order, so the
 /// in-group accumulation order is deterministic).
+///
+/// `footprint` is every local and ghost index the group's kernels may
+/// write in this neighbor epoch, ascending: its own rows plus each
+/// neighbor `j` a half list lets a kernel update (`!list.full &&
+/// (newton || j < nlocal)`). A group's private buffers are zeroed and
+/// reduced over exactly these entries; on a full list it is the rows.
 struct ForceGroup {
   int mask = 0;
   std::vector<int> atoms;
+  std::vector<int> footprint;
 };
 
 /// Comm-scheme-independent partition of the local atoms for the split
@@ -38,16 +46,27 @@ struct ForceGroup {
 /// the neighbor cutoff.
 struct ForceGroups {
   std::vector<ForceGroup> groups;  ///< ascending mask; interior first when present
-  int nlocal = 0;                  ///< atom count at build time
+  int nlocal = 0;                  ///< local atom count at build time
+  int ntotal = -1;                 ///< atom count the footprints index; -1: none
 
   /// Classify by position against the sub-box bands of width `rc`
   /// (`rc` = neighbor cutoff = pair cutoff + skin, the same width the
-  /// border stage uses to select ghosts). Call at every neighbor
-  /// rebuild: group membership must match the epoch's neighbor list.
+  /// border stage uses to select ghosts), then derive each group's
+  /// footprint from the epoch's neighbor list `list` and `newton`. Call
+  /// at every neighbor rebuild: group membership and footprints must
+  /// match the epoch's list. Reuses this object's storage, so a
+  /// steady-state rebuild allocates nothing.
+  void rebuild(const Atoms& atoms, const geom::Box& sub, double rc,
+               const NeighborList& list, bool newton);
+
+  /// rebuild() into a fresh object.
   static ForceGroups build(const Atoms& atoms, const geom::Box& sub,
-                           double rc);
+                           double rc, const NeighborList& list, bool newton);
 
   int ngroups() const { return static_cast<int>(groups.size()); }
+
+ private:
+  std::vector<int> stamp_;  ///< per atom: band mask, then last footprint group
 };
 
 /// True when a group with band mask `mask` can have neighbor-list rows

@@ -37,7 +37,11 @@ void LennardJones::force_rows(const std::vector<int>& rows, const double* x,
   // Half list with newton: apply to both partners (ghost forces are
   // reverse-communicated by the caller). Full list without newton:
   // i-side only, 0.5-weighted tallies.
+  // Energy and virial accumulate in registers: `out` could alias `f`
+  // as far as the compiler knows, so per-pair stores through it would
+  // be reloaded around every force write.
   const double pair_weight = list.full ? 0.5 : 1.0;
+  double energy = 0.0, virial = 0.0;
   for (const int i : rows) {
     const double xi = x[3 * i], yi = x[3 * i + 1], zi = x[3 * i + 2];
     double fxi = 0, fyi = 0, fzi = 0;
@@ -59,19 +63,21 @@ void LennardJones::force_rows(const std::vector<int>& rows, const double* x,
         f[3 * j + 1] -= dy * fpair;
         f[3 * j + 2] -= dz * fpair;
       }
-      out.energy += pair_weight * (lj3_ * inv6 * inv6 - lj4_ * inv6);
-      out.virial += pair_weight * r2 * fpair;
+      energy += pair_weight * (lj3_ * inv6 * inv6 - lj4_ * inv6);
+      virial += pair_weight * r2 * fpair;
     }
     f[3 * i] += fxi;
     f[3 * i + 1] += fyi;
     f[3 * i + 2] += fzi;
   }
+  out.energy += energy;
+  out.virial += virial;
 }
 
 void LennardJones::split_group(int pass, int g) {
   if (pass != 0) throw std::logic_error("LJ split: pass out of range");
   const auto gi = static_cast<std::size_t>(g);
-  force_rows(sgroups_->groups[gi].atoms, satoms_->x(), gforce_[gi].data(),
+  force_rows(sgroups_->groups[gi].atoms, satoms_->x(), zeroed_group_forces(g),
              *slist_, snewton_, satoms_->nlocal(), gpartial_[gi]);
 }
 

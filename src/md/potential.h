@@ -43,16 +43,20 @@ class GhostDataComm {
 ///     split_join(pass, ghost_comm)             (serial, canonical)
 ///   result = split_finish()
 ///
-/// Each split_group call writes only that group's private accumulation
-/// buffer (never atoms.f()), so concurrent groups cannot race; the force
-/// pass's join reduces the buffers in ascending group order — a fixed
+/// Each split_group call first zeroes its own group's private
+/// accumulation buffer over the group's footprint (ForceGroup::footprint:
+/// the indices its kernels may write this epoch), then writes only that
+/// buffer (never atoms.f()), so concurrent groups cannot race and the
+/// zeroing runs inside the group's task. The force pass's join adds each
+/// buffer's footprint entries in ascending group order — a fixed
 /// arithmetic order, which is what makes the barrier and async executors
-/// bitwise-identical. Interior groups (mask 0) read no ghost data in
-/// pass 0 and may run before the forward exchange completes; border
-/// groups may run as soon as every direction they read (group_reads_dir)
-/// has landed. compute_groups() runs the sequence above serially, which
-/// is exactly what the barrier executor does; compute() is the same run
-/// over one group holding every local atom.
+/// bitwise-identical; entries outside a footprint are stale and never
+/// read. Interior groups (mask 0) read no ghost data in pass 0 and may
+/// run before the forward exchange completes; border groups may run as
+/// soon as every direction they read (group_reads_dir) has landed.
+/// compute_groups() runs the sequence above serially, which is exactly
+/// what the barrier executor does; compute() is the same run over one
+/// group holding every local atom, with footprint [0, ntotal).
 ///
 /// The base class owns the bound inputs, the per-group force buffers and
 /// their canonical reduction; a potential supplies its row kernels
@@ -67,13 +71,16 @@ class Potential {
   /// then force, with the mid-pair comm inside split_join(0)).
   virtual int split_passes() const = 0;
 
-  /// Bind one evaluation's inputs and zero the per-group buffers.
-  /// `groups` must outlive the evaluation (rebuilt per neighbor epoch).
+  /// Bind one evaluation's inputs and size the per-group buffers (they
+  /// are not filled: each split_group zeroes its own footprint). `groups`
+  /// must outlive the evaluation and carry footprints built for `atoms`
+  /// (ForceGroups::rebuild, per neighbor epoch); std::logic_error if not.
   void split_begin(Atoms& atoms, const NeighborList& list, bool newton,
                    const ForceGroups* groups);
 
-  /// Compute group `g`'s contribution to pass `pass` into its private
-  /// buffer. Thread-safe across distinct groups of the same pass.
+  /// Zero group `g`'s private buffer for pass `pass` over its footprint,
+  /// then compute the group's contribution into it. Thread-safe across
+  /// distinct groups of the same pass.
   virtual void split_group(int pass, int g) = 0;
 
   /// Finish pass `pass`: the last pass reduces the force buffers
@@ -96,20 +103,42 @@ class Potential {
                       GhostDataComm* ghost_comm);
 
  protected:
-  /// Size and zero the potential's own per-evaluation scratch; called
-  /// at the end of split_begin, with the inputs already bound.
+  /// Size the potential's own per-evaluation scratch (its per-group
+  /// buffers are zeroed by their split_group); called at the end of
+  /// split_begin, with the inputs already bound.
   virtual void begin_scratch() {}
 
-  /// Add the per-group force buffers into atoms.f() and the per-group
-  /// energy/virial into the total, in ascending group order.
+  /// Group `g`'s force buffer, zeroed over its footprint: the first step
+  /// of the group's force pass, inside its own task.
+  double* zeroed_group_forces(int g);
+
+  /// Add the per-group force buffers into atoms.f() over each group's
+  /// footprint and the per-group energy/virial into the total, in
+  /// ascending group order.
   void reduce_forces();
+
+  /// The one zero/add path for per-group buffers: `W` doubles per atom,
+  /// over the indices in `footprint` only.
+  template <int W>
+  static void zero_footprint(const std::vector<int>& footprint, double* buf) {
+    for (const int a : footprint) {
+      for (int w = 0; w < W; ++w) buf[W * a + w] = 0.0;
+    }
+  }
+  template <int W>
+  static void add_footprint(const std::vector<int>& footprint,
+                            const double* buf, double* acc) {
+    for (const int a : footprint) {
+      for (int w = 0; w < W; ++w) acc[W * a + w] += buf[W * a + w];
+    }
+  }
 
   // Split-evaluation state (bound by split_begin, valid for one step).
   Atoms* satoms_ = nullptr;
   const NeighborList* slist_ = nullptr;
   const ForceGroups* sgroups_ = nullptr;
   bool snewton_ = true;
-  std::vector<std::vector<double>> gforce_;  ///< per group, 3*ntotal
+  std::vector<std::vector<double>> gforce_;  ///< per group, 3*ntotal; live on its footprint
   std::vector<ForceResult> gpartial_;
   ForceResult stotal_;
 

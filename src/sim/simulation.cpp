@@ -463,7 +463,7 @@ class RankSim {
       // neighbor epoch: atoms keep their group until the next rebuild
       // (the list is frozen, so interior rows cannot grow ghost
       // neighbors mid-epoch).
-      groups_ = md::ForceGroups::build(atoms_, sub_, rc_);
+      groups_.rebuild(atoms_, sub_, rc_, list_, cfg.newton);
       if (exec_async_) build_step_graph();
     }
   }

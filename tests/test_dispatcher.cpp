@@ -111,6 +111,83 @@ TEST(NoticeDispatcher, DoubleOutstandingChannelIsAProtocolError) {
   EXPECT_THROW(f.dispatch.wait(MsgKind::kBorder, 0), std::logic_error);
 }
 
+TEST(NoticeDispatcher, DeclaredDeeperBoundStashesInArrivalOrder) {
+  // The Newton-off ring forward lets a neighbor run one step ahead:
+  // with the bound raised to two, both notices park and come out oldest
+  // first; a third is still a protocol error, and other kinds keep the
+  // one-deep bound.
+  Fixture f;
+  f.dispatch.set_max_outstanding(MsgKind::kForward, 2);
+  f.post(MsgKind::kForward, 7, 1);
+  f.post(MsgKind::kForward, 7, 2);
+  f.post(MsgKind::kBorder, 0, 9);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kBorder, 0).value, 9u);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 7).value, 1u);
+  f.post(MsgKind::kForward, 7, 3);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 7).value, 2u);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 7).value, 3u);
+
+  for (std::uint32_t v = 4; v <= 6; ++v) f.post(MsgKind::kForward, 7, v);
+  EXPECT_THROW(f.dispatch.wait(MsgKind::kBorder, 0), std::logic_error);
+
+  Fixture g;
+  g.dispatch.set_max_outstanding(MsgKind::kForward, 2);
+  g.post(MsgKind::kExchange, 7, 1);
+  g.post(MsgKind::kExchange, 7, 2);
+  EXPECT_THROW(g.dispatch.wait(MsgKind::kBorder, 0), std::logic_error);
+
+  EXPECT_THROW(g.dispatch.set_max_outstanding(MsgKind::kForward, 0),
+               std::invalid_argument);
+  EXPECT_THROW(
+      g.dispatch.set_max_outstanding(MsgKind::kForward, kMaxOutstanding + 1),
+      std::invalid_argument);
+}
+
+TEST(NoticeDispatcher, RetransmitAfterDeepStashAsksForTheRejectedSeq) {
+  // Two forwards stashed (seq 1, 2); the consumer takes seq 1 and its CRC
+  // check fails. The NACK must ask for seq 1 again — not seq 3, which a
+  // sequence counter bumped at stash time would request — and the replay
+  // must complete the next wait ahead of the still-stashed seq 2.
+  Fixture f;
+  f.dispatch.enable_reliability([](MsgKind, int) {});
+  f.dispatch.set_max_outstanding(MsgKind::kForward, 2);
+  auto post_seq = [&f](MsgKind kind, int dir, std::uint32_t value,
+                       std::uint8_t seq) {
+    Edata e{kind, dir, 0, value};
+    e.seq = seq;
+    f.net.put_piggyback(f.sender, f.receiver, e.encode());
+  };
+  post_seq(MsgKind::kForward, 7, 10, 1);
+  post_seq(MsgKind::kForward, 7, 20, 2);
+  post_seq(MsgKind::kBorder, 0, 9, 1);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kBorder, 0).value, 9u);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 7).seq, 1);
+  f.dispatch.accept_retransmit(MsgKind::kForward, 7);
+  EXPECT_EQ(f.dispatch.expected_seq(MsgKind::kForward, 7), 1);
+  post_seq(MsgKind::kForward, 7, 11, 1);
+  const Edata replay = f.dispatch.wait(MsgKind::kForward, 7);
+  EXPECT_EQ(replay.seq, 1);
+  EXPECT_EQ(replay.value, 11u);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 7).value, 20u);
+}
+
+TEST(NoticeDispatcher, ReliableWaitParksALaterSeqUntilItsTurn) {
+  // The successor (seq 2) lands before the awaited seq 1 — a replay
+  // overtaken on the wire. The wait must hold out for seq 1 and then
+  // hand seq 2 to the next wait.
+  Fixture f;
+  f.dispatch.enable_reliability([](MsgKind, int) {});
+  f.dispatch.set_max_outstanding(MsgKind::kForward, 2);
+  Edata two{MsgKind::kForward, 7, 0, 20};
+  two.seq = 2;
+  Edata one{MsgKind::kForward, 7, 0, 10};
+  one.seq = 1;
+  f.net.put_piggyback(f.sender, f.receiver, two.encode());
+  f.net.put_piggyback(f.sender, f.receiver, one.encode());
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 7).value, 10u);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 7).value, 20u);
+}
+
 TEST(NoticeDispatcher, TeardownWithInFlightNackBackoff) {
   // Failover regression: a dispatcher stuck in a reliable wait (NACKs
   // firing, long deadline) must unblock via the fabric abort, and its

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -22,6 +23,17 @@ namespace {
 std::string tmp_path(const std::string& name) {
   const std::string path = ::testing::TempDir() + name;
   std::remove(path.c_str());
+  return path;
+}
+
+/// An empty directory of its own (trailing slash included): servers in
+/// tests that ctest runs in parallel all number their jobs from 1, so a
+/// shared work dir would let one test's job-1 checkpoints clobber
+/// another's.
+std::string fresh_dir(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name + "/";
+  std::filesystem::remove_all(path);
+  std::filesystem::create_directories(path);
   return path;
 }
 
@@ -86,7 +98,7 @@ std::string all_chunks(const JobServer& server, std::uint64_t job_id) {
 ServerConfig base_config(const std::string& tag) {
   ServerConfig cfg;
   cfg.journal_path = tmp_path("srv_" + tag + ".journal");
-  cfg.work_dir = ::testing::TempDir();
+  cfg.work_dir = fresh_dir("srv_" + tag + "_wd");
   cfg.workers = 1;
   cfg.slice_steps = 10;
   cfg.retry_backoff_ms = 1;

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
@@ -302,10 +303,19 @@ std::string tmp_path(const std::string& name) {
   return path;
 }
 
+/// An empty work dir of its own: parallel tests' servers all number
+/// their jobs from 1 and would otherwise share job-1 checkpoint files.
+std::string fresh_dir(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name + "/";
+  std::filesystem::remove_all(path);
+  std::filesystem::create_directories(path);
+  return path;
+}
+
 serve::ServerConfig sampler_config(const std::string& tag) {
   serve::ServerConfig cfg;
   cfg.journal_path = tmp_path("telemetry_" + tag + ".journal");
-  cfg.work_dir = ::testing::TempDir();
+  cfg.work_dir = fresh_dir("telemetry_" + tag + "_wd");
   cfg.workers = 0;  // admission only: nothing simulates, nothing races TSan
   cfg.telemetry.interval_ms = 10;
   cfg.telemetry.window_ms = 5000;
@@ -541,7 +551,7 @@ std::string melt_script(int run_steps, const std::string& extra = "") {
 TEST(LiveTelemetry, TwoTenantsWithDeadlineMissBreachWithinOneSnapshot) {
   serve::ServerConfig cfg;
   cfg.journal_path = tmp_path("telemetry_live.journal");
-  cfg.work_dir = ::testing::TempDir();
+  cfg.work_dir = fresh_dir("telemetry_live_wd");
   cfg.workers = 2;
   cfg.slice_steps = 10;
   cfg.telemetry.interval_ms = 20;
@@ -621,7 +631,7 @@ TEST(LiveTelemetry, TwoTenantsWithDeadlineMissBreachWithinOneSnapshot) {
 TEST(LiveTelemetry, SamplerOffServesMinimalSnapshotAndStillRuns) {
   serve::ServerConfig cfg;
   cfg.journal_path = tmp_path("telemetry_off.journal");
-  cfg.work_dir = ::testing::TempDir();
+  cfg.work_dir = fresh_dir("telemetry_off_wd");
   cfg.workers = 1;
   cfg.telemetry.enabled = false;
   serve::JobServer server(cfg);
