@@ -259,15 +259,19 @@ run_executor_smoke() {
   work=$(mktemp -d)
   trap 'rm -rf "${work}"' RETURN
   # EAM on ref: the two-pass DAG (density, mid-pair comm, force), whose
-  # groups zero their own buffers inside their tasks.
-  local ex
-  for ex in barrier async; do
-    "${build_dir}/examples/lmp_cli" examples/in.eam.cu ref --executor "${ex}" \
-        --dump-final "${work}/eam.${ex}.dump" > /dev/null
+  # groups zero their own buffers inside their tasks. Newton off runs the
+  # full-list kernels, which write no partner atoms.
+  sed 's/^newton .*/newton off/' examples/in.eam.cu > "${work}/in.eam.newton_off.cu"
+  local script ex
+  for script in examples/in.eam.cu "${work}/in.eam.newton_off.cu"; do
+    for ex in barrier async; do
+      "${build_dir}/examples/lmp_cli" "${script}" ref --executor "${ex}" \
+          --dump-final "${work}/eam.${ex}.dump" > /dev/null
+    done
+    diff "${work}/eam.barrier.dump" "${work}/eam.async.dump" \
+        || { echo "executor smoke: EAM async trajectory diverged from barrier (${script})"; return 1; }
+    echo "executor smoke: EAM (ref, ${script##*/}) trajectories bitwise-identical"
   done
-  diff "${work}/eam.barrier.dump" "${work}/eam.async.dump" \
-      || { echo "executor smoke: EAM async trajectory diverged from barrier"; return 1; }
-  echo "executor smoke: EAM (ref) trajectories bitwise-identical"
   local attempt
   for attempt in 1 2; do
     "${build_dir}/examples/lmp_cli" examples/in.melt.lj 6tni_p2p \

@@ -12,25 +12,32 @@ Eam::Eam(const EamTable& t)
       rhor_(t.dr, t.dr, t.rhor),
       z2r_(t.dr, t.dr, t.z2r) {
   if (t.cutoff <= 0) throw std::invalid_argument("EAM cutoff must be > 0");
+  // force_rows locates each pair's segment once for both radial tables.
+  if (t.rhor.size() != t.z2r.size()) {
+    throw std::invalid_argument("EAM rho(r) and z2(r) must share one r grid");
+  }
 }
 
 void Eam::rho_rows(const std::vector<int>& rows, const double* x, double* rho,
                    const NeighborList& list, bool newton, int nlocal) const {
+  const int limit = list.partner_write_limit(newton, nlocal);
   for (const int i : rows) {
+    const double xi = x[3 * i], yi = x[3 * i + 1], zi = x[3 * i + 2];
+    // A row never lists i itself, so summing it in a register adds the
+    // same terms in the same order as `rho[i] +=` would.
+    double rhoi = rho[i];
     for (int k = list.offsets[i]; k < list.offsets[i + 1]; ++k) {
       const int j = list.neigh[static_cast<std::size_t>(k)];
-      const double dx = x[3 * i] - x[3 * j];
-      const double dy = x[3 * i + 1] - x[3 * j + 1];
-      const double dz = x[3 * i + 2] - x[3 * j + 2];
+      const double dx = xi - x[3 * j];
+      const double dy = yi - x[3 * j + 1];
+      const double dz = zi - x[3 * j + 2];
       const double r2 = dx * dx + dy * dy + dz * dz;
       if (r2 >= cut2_) continue;
-      const double r = std::sqrt(r2);
-      const double rho_r = rhor_.value(r);
-      rho[i] += rho_r;
-      if (!list.full && (newton || j < nlocal)) {
-        rho[j] += rho_r;
-      }
+      const double rho_r = rhor_.value(std::sqrt(r2));
+      rhoi += rho_r;
+      if (j < limit) rho[j] += rho_r;
     }
+    rho[i] = rhoi;
   }
 }
 
@@ -39,34 +46,39 @@ void Eam::force_rows(const std::vector<int>& rows, const double* x, double* f,
                      ForceResult& out) const {
   // Energy and virial accumulate in registers (see LennardJones).
   const double pair_weight = list.full ? 0.5 : 1.0;
+  const int limit = list.partner_write_limit(newton, nlocal);
   double energy = 0.0, virial = 0.0;
   for (const int i : rows) {
+    const double xi = x[3 * i], yi = x[3 * i + 1], zi = x[3 * i + 2];
+    const double fpi = fp_[static_cast<std::size_t>(i)];
     double fxi = 0, fyi = 0, fzi = 0;
     for (int k = list.offsets[i]; k < list.offsets[i + 1]; ++k) {
       const int j = list.neigh[static_cast<std::size_t>(k)];
-      const double dx = x[3 * i] - x[3 * j];
-      const double dy = x[3 * i + 1] - x[3 * j + 1];
-      const double dz = x[3 * i + 2] - x[3 * j + 2];
+      const double dx = xi - x[3 * j];
+      const double dy = yi - x[3 * j + 1];
+      const double dz = zi - x[3 * j + 2];
       const double r2 = dx * dx + dy * dy + dz * dz;
       if (r2 >= cut2_) continue;
       const double r = std::sqrt(r2);
 
+      // rho(r) and z2(r) share the r grid: one segment for both.
+      double t;
+      const int seg = rhor_.segment(r, t);
       double rho_r, rhop;
-      rhor_.eval(r, rho_r, rhop);
+      rhor_.eval_at(seg, t, rho_r, rhop);
       double z2, z2p;
-      z2r_.eval(r, z2, z2p);
+      z2r_.eval_at(seg, t, z2, z2p);
       const double recip = 1.0 / r;
       const double phi = z2 * recip;
       const double phip = z2p * recip - phi * recip;
 
-      const double psip = fp_[static_cast<std::size_t>(i)] * rhop +
-                          fp_[static_cast<std::size_t>(j)] * rhop + phip;
+      const double psip = fpi * rhop + fp_[static_cast<std::size_t>(j)] * rhop + phip;
       const double fpair = -psip * recip;
 
       fxi += dx * fpair;
       fyi += dy * fpair;
       fzi += dz * fpair;
-      if (!list.full && (newton || j < nlocal)) {
+      if (j < limit) {
         f[3 * j] -= dx * fpair;
         f[3 * j + 1] -= dy * fpair;
         f[3 * j + 2] -= dz * fpair;

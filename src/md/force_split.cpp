@@ -50,16 +50,17 @@ void ForceGroups::rebuild(const Atoms& atoms, const geom::Box& sub,
   // update. One pass over the list, stamping each index with the last
   // group that claimed it so a group lists it once.
   std::fill(stamp_.begin(), stamp_.end(), -1);
+  const int limit = list.partner_write_limit(newton, nlocal);
   for (int g = 0; g < ng; ++g) {
     ForceGroup& grp = groups[static_cast<std::size_t>(g)];
     std::vector<int>& fp = grp.footprint;
     fp.assign(grp.atoms.begin(), grp.atoms.end());
-    if (list.full) continue;  // rows only, already ascending
+    if (limit == 0) continue;  // no partner writes: rows only, already ascending
     for (const int i : grp.atoms) stamp_[static_cast<std::size_t>(i)] = g;
     for (const int i : grp.atoms) {
       for (int k = list.offsets[i]; k < list.offsets[i + 1]; ++k) {
         const int j = list.neigh[static_cast<std::size_t>(k)];
-        if (!newton && j >= nlocal) continue;
+        if (j >= limit) continue;
         int& st = stamp_[static_cast<std::size_t>(j)];
         if (st == g) continue;
         st = g;

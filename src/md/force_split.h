@@ -29,9 +29,10 @@ enum BandBit : int {
 ///
 /// `footprint` is every local and ghost index the group's kernels may
 /// write in this neighbor epoch, ascending: its own rows plus each
-/// neighbor `j` a half list lets a kernel update (`!list.full &&
-/// (newton || j < nlocal)`). A group's private buffers are zeroed and
-/// reduced over exactly these entries; on a full list it is the rows.
+/// neighbor `j` a half list lets a kernel update
+/// (`j < NeighborList::partner_write_limit`). A group's private buffers
+/// are zeroed and reduced over exactly these entries; on a full list it
+/// is the rows.
 struct ForceGroup {
   int mask = 0;
   std::vector<int> atoms;

@@ -41,6 +41,7 @@ void LennardJones::force_rows(const std::vector<int>& rows, const double* x,
   // as far as the compiler knows, so per-pair stores through it would
   // be reloaded around every force write.
   const double pair_weight = list.full ? 0.5 : 1.0;
+  const int limit = list.partner_write_limit(newton, nlocal);
   double energy = 0.0, virial = 0.0;
   for (const int i : rows) {
     const double xi = x[3 * i], yi = x[3 * i + 1], zi = x[3 * i + 2];
@@ -58,7 +59,7 @@ void LennardJones::force_rows(const std::vector<int>& rows, const double* x,
       fxi += dx * fpair;
       fyi += dy * fpair;
       fzi += dz * fpair;
-      if (!list.full && (newton || j < nlocal)) {
+      if (j < limit) {
         f[3 * j] -= dx * fpair;
         f[3 * j + 1] -= dy * fpair;
         f[3 * j + 2] -= dz * fpair;

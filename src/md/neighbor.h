@@ -1,5 +1,6 @@
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "md/atoms.h"
@@ -28,6 +29,15 @@ struct NeighborList {
 
   int count(int i) const { return offsets[i + 1] - offsets[i]; }
   long total_pairs() const { return static_cast<long>(neigh.size()); }
+
+  /// The partner-write rule: a pair kernel updates neighbor j too
+  /// (Newton's third law) iff j < this bound. None on a full list, only
+  /// locals on a half list without Newton, every neighbor otherwise
+  /// (ghost updates are reverse-communicated by the caller).
+  int partner_write_limit(bool newton, int nlocal) const {
+    if (full) return 0;
+    return newton ? std::numeric_limits<int>::max() : nlocal;
+  }
 };
 
 /// Spatial-binning neighbor-list builder over one rank's local + ghost

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <utility>
 
@@ -150,6 +151,16 @@ TEST(Neighbor, CountMatchesDensityEstimate) {
 TEST(Neighbor, InvalidCutoffThrows) {
   EXPECT_THROW(NeighborBuilder(0.0), std::invalid_argument);
   EXPECT_THROW(NeighborBuilder(-1.0), std::invalid_argument);
+}
+
+TEST(Neighbor, PartnerWriteLimitFollowsListKindAndNewton) {
+  NeighborList half;
+  EXPECT_EQ(half.partner_write_limit(true, 10), std::numeric_limits<int>::max());
+  EXPECT_EQ(half.partner_write_limit(false, 10), 10);  // locals only
+  NeighborList full;
+  full.full = true;
+  EXPECT_EQ(full.partner_write_limit(true, 10), 0);
+  EXPECT_EQ(full.partner_write_limit(false, 10), 0);
 }
 
 }  // namespace

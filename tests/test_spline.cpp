@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "md/spline.h"
@@ -52,6 +54,51 @@ TEST(UniformSpline, EvalMatchesValueAndDerivative) {
   s.eval(1.7, v, d);
   EXPECT_DOUBLE_EQ(v, s.value(1.7));
   EXPECT_DOUBLE_EQ(d, s.derivative(1.7));
+}
+
+TEST(UniformSpline, SegmentRangeAndClamping) {
+  std::vector<double> y;
+  for (int i = 0; i < 40; ++i) y.push_back(std::exp(-0.3 * i) * std::cos(0.7 * i));
+  const double x0 = 0.05, dx = 0.0125;
+  const UniformSpline s(x0, dx, y);
+  const int n = static_cast<int>(y.size());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  // Below the table: the first segment at t = 0, and the same bits as at x_min.
+  for (const double x : {x0 - 1.0, x0 - 1e-12}) {
+    double t;
+    EXPECT_EQ(s.segment(x, t), 0) << "x=" << x;
+    EXPECT_EQ(t, 0.0) << "x=" << x;
+    EXPECT_EQ(bits(s.value(x)), bits(s.value(s.x_min()))) << "x=" << x;
+  }
+  // Above the table: the last segment at t = 1 (up to the rounding of
+  // x_max), and the same bits as at x_max.
+  for (const double x : {s.x_max() + 1e-12, s.x_max() + 3.0}) {
+    double t;
+    EXPECT_EQ(s.segment(x, t), n - 2) << "x=" << x;
+    EXPECT_NEAR(t, 1.0, 1e-12) << "x=" << x;
+    EXPECT_EQ(bits(s.derivative(x)), bits(s.derivative(s.x_max()))) << "x=" << x;
+  }
+  // Inside: a point a fraction into segment k lands in segment k.
+  for (int k = 0; k + 1 < n; ++k) {
+    for (const double frac : {0.001, 0.25, 0.5, 0.999}) {
+      const double x = x0 + dx * k + frac * dx;
+      double t;
+      EXPECT_EQ(s.segment(x, t), k) << "x=" << x;
+      EXPECT_NEAR(t, frac, 1e-9) << "x=" << x;
+    }
+  }
+  // On a knot, rounding may give the segment on either side of it.
+  for (int k = 0; k < n; ++k) {
+    const double x = x0 + dx * k;
+    double t;
+    const int i = s.segment(x, t);
+    ASSERT_GE(i, 0);
+    ASSERT_LE(i, n - 2);
+    EXPECT_GE(t, 0.0);
+    EXPECT_LE(t, 1.0 + 1e-12);
+    EXPECT_NEAR(i + t, static_cast<double>(k), 1e-9) << "x=" << x;
+  }
 }
 
 TEST(UniformSpline, DerivativeMatchesFiniteDifference) {
