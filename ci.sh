@@ -245,7 +245,8 @@ run_integrity_smoke() {
 
 # Executor smoke: the async task-graph executor must reproduce the
 # barrier executor's trajectory bit for bit on the EAM copper example
-# (ref) and on the golden melt (the 6tni_p2p engine, whose
+# (ref), on a Newton-off melt (6tni_p2p, also against ref), and on the
+# golden melt (the 6tni_p2p engine, whose
 # per-direction forward channels the step DAG genuinely overlaps with
 # interior force groups); on the melt its traced
 # notice_wait attribution must come in below the barrier run's — the
@@ -272,6 +273,20 @@ run_executor_smoke() {
         || { echo "executor smoke: EAM async trajectory diverged from barrier (${script})"; return 1; }
     echo "executor smoke: EAM (ref, ${script##*/}) trajectories bitwise-identical"
   done
+  # Melt with Newton off on 6tni_p2p: the ring forward (payload unpack on
+  # the receive side), which both executors run through task.wait nodes;
+  # ref's eager exchange must land on the same bits.
+  sed 's/^newton .*/newton off/' examples/in.melt.lj > "${work}/in.melt.newton_off.lj"
+  local run
+  for run in 6tni_p2p.barrier 6tni_p2p.async ref.barrier; do
+    "${build_dir}/examples/lmp_cli" "${work}/in.melt.newton_off.lj" "${run%.*}" \
+        --executor "${run#*.}" --dump-final "${work}/melt_off.${run}.dump" > /dev/null
+  done
+  for run in 6tni_p2p.async ref.barrier; do
+    diff "${work}/melt_off.6tni_p2p.barrier.dump" "${work}/melt_off.${run}.dump" \
+        || { echo "executor smoke: newton-off melt ${run} diverged from 6tni_p2p barrier"; return 1; }
+  done
+  echo "executor smoke: newton-off melt (6tni_p2p barrier/async, ref) bitwise-identical"
   local attempt
   for attempt in 1 2; do
     "${build_dir}/examples/lmp_cli" examples/in.melt.lj 6tni_p2p \

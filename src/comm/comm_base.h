@@ -39,7 +39,7 @@ struct CommCounters {
 /// parallel p2p). The Simulation calls these in the LAMMPS verlet order:
 ///
 ///   rebuild step:  exchange() -> borders() -> neighbor build
-///   other steps:   forward_positions()
+///   other steps:   forward_begin() -> forward_complete(ch) per channel
 ///   after force:   reverse_forces()            (Newton only)
 ///   mid-EAM:       reverse_add() / forward()   (GhostDataComm)
 class Comm : public md::GhostDataComm {
@@ -57,27 +57,17 @@ class Comm : public md::GhostDataComm {
   /// Rebuild ghost atoms and the send lists (border stage).
   virtual void borders() = 0;
 
-  /// Push updated owner positions into all ghost copies.
-  virtual void forward_positions() = 0;
-
-  // --- split forward exchange (asynchronous step runtime) ---------------
+  // --- forward exchange: push updated owner positions into all ghosts ---
   //
   // forward_begin() issues this step's sends, forward_complete(ch)
   // blocks until receive channel `ch`'s ghost block has landed. The step
-  // DAG calls forward_begin() first, then overlaps interior force tasks
-  // with one forward_complete() per entry of forward_channels(); border
-  // tasks reading a direction depend on that direction's completion.
-  //
-  // Eager implementations (blocking sendrecv loops, where send and
-  // receive cannot be separated) keep the defaults: forward_begin() runs
-  // the whole exchange and forward_complete() is a no-op, with
-  // forward_channels() empty — the DAG then simply gates every border
-  // task on the forward node. forward_begin() + forward_complete(ch) for
-  // every listed channel must be exactly equivalent to
-  // forward_positions(), counters included.
+  // DAG calls forward_begin(), then forward_complete() per entry of
+  // forward_channels(); border force tasks wait for the directions they
+  // read. Eager implementations (blocking sendrecv loops) run the whole
+  // exchange in forward_begin() and list no channels.
 
-  /// Start the forward exchange (send side; eager default: all of it).
-  virtual void forward_begin() { forward_positions(); }
+  /// Start the forward exchange (send side; eager: all of it).
+  virtual void forward_begin() = 0;
 
   /// Complete one receive channel started by forward_begin().
   virtual void forward_complete(int /*ch*/) {}

@@ -137,7 +137,7 @@ void CommBrick::borders() {
   }
 }
 
-void CommBrick::forward_positions() {
+void CommBrick::forward_begin() {
   md::Atoms& atoms = *ctx_.atoms;
   double* x = atoms.x();
   for (int c = 0; c < 6; ++c) {

@@ -437,13 +437,12 @@ void CommP2p::borders() {
   });
 }
 
-void CommP2p::forward_positions() {
-  forward_begin();
-  for_dirs(plan_.recv_channels(), [&](int u) { complete_forward_dir(u); });
-}
-
 void CommP2p::forward_begin() {
   md::Atoms& atoms = *ctx_.atoms;
+  for (const int d : plan_.send_channels()) {
+    account(counters_, MsgKind::kForward,
+            plan_.send_list(d).size() * kPositionDoubles);
+  }
 
   // Direct writes into the peer's position array are only safe when the
   // reverse stage paces the sender: with Newton's law on, a rank cannot
@@ -466,10 +465,6 @@ void CommP2p::forward_begin() {
       }();
       send_ring(MsgKind::kForward, d, n);
     });
-    for (const int d : plan_.send_channels()) {
-      account(counters_, MsgKind::kForward,
-              plan_.send_list(d).size() * kPositionDoubles);
-    }
     return;
   }
 
@@ -509,13 +504,9 @@ void CommP2p::forward_begin() {
               ed.encode(), tofu::PutMode::kData, flow);
     dispatch_[static_cast<std::size_t>(my_slot)].drain_tcq();
   });
-  for (const int d : plan_.send_channels()) {
-    account(counters_, MsgKind::kForward,
-            plan_.send_list(d).size() * kPositionDoubles);
-  }
 }
 
-void CommP2p::complete_forward_dir(int u) {
+void CommP2p::forward_complete(int u) {
   md::Atoms& atoms = *ctx_.atoms;
 
   if (!ctx_.newton) {
@@ -553,8 +544,6 @@ void CommP2p::complete_forward_dir(int u) {
     break;
   }
 }
-
-void CommP2p::forward_complete(int ch) { complete_forward_dir(ch); }
 
 void CommP2p::reverse_forces() {
   if (!ctx_.newton) return;  // full lists never accumulate ghost forces

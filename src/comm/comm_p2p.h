@@ -94,7 +94,6 @@ class CommP2p final : public Comm {
   void setup() override;
   void exchange() override;
   void borders() override;
-  void forward_positions() override;
   void reverse_forces() override;
 
   // Split forward exchange: the RDMA puts of forward_begin() land
@@ -102,6 +101,7 @@ class CommP2p final : public Comm {
   // completed independently as soon as its notice arrives. Channels on
   // the same VCQ share a dispatcher and report vcq_slot() as their key.
   void forward_begin() override;
+  /// Notice wait (+ CRC/NACK) and ghost-count check; ring unpack without Newton.
   void forward_complete(int ch) override;
   const std::vector<int>& forward_channels() const override {
     return plan_.recv_channels();
@@ -153,11 +153,6 @@ class CommP2p final : public Comm {
   /// threads by the slot map (or serially for single-thread variants).
   void for_dirs(const std::vector<int>& dirs,
                 const std::function<void(int)>& fn);
-
-  /// Receive side of the forward exchange for one direction: dispatcher
-  /// wait (+ CRC/NACK under reliability) and ghost-count check; ring
-  /// unpack on the non-Newton path.
-  void complete_forward_dir(int u);
 
   /// Throws when a payload of `ndoubles` cannot fit the preregistered
   /// rings — checked *before* packing into the registered send buffer.

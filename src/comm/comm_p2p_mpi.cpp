@@ -46,7 +46,7 @@ void CommP2pMpi::borders() {
   }
 }
 
-void CommP2pMpi::forward_positions() {
+void CommP2pMpi::forward_begin() {
   md::Atoms& atoms = *ctx_.atoms;
   double* x = atoms.x();
   for (const int d : plan_.send_channels()) {

@@ -30,7 +30,7 @@ class CommP2pMpi final : public Comm {
   void setup() override;
   void exchange() override;
   void borders() override;
-  void forward_positions() override;
+  void forward_begin() override;  ///< eager: the whole forward exchange
   void reverse_forces() override;
 
   // md::GhostDataComm (EAM mid-pair scalar comm)

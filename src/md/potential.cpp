@@ -56,17 +56,6 @@ void Potential::reduce_forces() {
   }
 }
 
-ForceResult Potential::compute_groups(Atoms& atoms, const NeighborList& list,
-                                      bool newton, const ForceGroups& groups,
-                                      GhostDataComm* ghost_comm) {
-  split_begin(atoms, list, newton, &groups);
-  for (int pass = 0; pass < split_passes(); ++pass) {
-    for (int g = 0; g < groups.ngroups(); ++g) split_group(pass, g);
-    split_join(pass, ghost_comm);
-  }
-  return split_finish();
-}
-
 ForceResult Potential::compute(Atoms& atoms, const NeighborList& list,
                                bool newton, GhostDataComm* ghost_comm) {
   all_local_.nlocal = atoms.nlocal();
@@ -77,7 +66,12 @@ ForceResult Potential::compute(Atoms& atoms, const NeighborList& list,
   std::iota(grp.atoms.begin(), grp.atoms.end(), 0);
   grp.footprint.resize(static_cast<std::size_t>(atoms.ntotal()));
   std::iota(grp.footprint.begin(), grp.footprint.end(), 0);
-  return compute_groups(atoms, list, newton, all_local_, ghost_comm);
+  split_begin(atoms, list, newton, &all_local_);
+  for (int pass = 0; pass < split_passes(); ++pass) {
+    split_group(pass, 0);
+    split_join(pass, ghost_comm);
+  }
+  return split_finish();
 }
 
 }  // namespace lmp::md

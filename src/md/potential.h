@@ -54,9 +54,8 @@ class GhostDataComm {
 /// read. Interior groups (mask 0) read no ghost data in pass 0 and may
 /// run before the forward exchange completes; border groups may run as
 /// soon as every direction they read (group_reads_dir) has landed.
-/// compute_groups() runs the sequence above serially, which is exactly
-/// what the barrier executor does; compute() is the same run over one
-/// group holding every local atom, with footprint [0, ntotal).
+/// The simulation runs the sequence as nodes of its step DAG; compute()
+/// runs it over one group holding every local atom, footprint [0, ntotal).
 ///
 /// The base class owns the bound inputs, the per-group force buffers and
 /// their canonical reduction; a potential supplies its row kernels
@@ -92,13 +91,8 @@ class Potential {
   /// ascending group order).
   ForceResult split_finish() const { return stotal_; }
 
-  /// The whole split sequence over `groups`, serially in canonical order.
-  ForceResult compute_groups(Atoms& atoms, const NeighborList& list,
-                             bool newton, const ForceGroups& groups,
-                             GhostDataComm* ghost_comm);
-
-  /// compute_groups() over one group holding every local atom. Forces
-  /// are added to atoms.f(); the caller zeroes it first.
+  /// The whole split sequence over one group holding every local atom.
+  /// Forces are added to atoms.f(); the caller zeroes it first.
   ForceResult compute(Atoms& atoms, const NeighborList& list, bool newton,
                       GhostDataComm* ghost_comm);
 

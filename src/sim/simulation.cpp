@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -314,15 +313,13 @@ class RankSim {
     // --- step executor ------------------------------------------------
     sub_ = sub;
     rc_ = rc;
-    exec_async_ = job.opt.executor == "async";
-    if (exec_async_) {
+    if (job.opt.executor == "async") {
       dag_pool_ = std::make_unique<pool::SpinThreadPool>(
           std::max(1, job.opt.executor_threads));
     }
   }
 
   int current_step() const { return step_; }
-  util::CommHealthReport health() const { return comm_->health(); }
 
   void run(int nsteps) {
     const md::SimConfig& cfg = job_.opt.config;
@@ -333,7 +330,7 @@ class RankSim {
     job_.world.barrier(rank_);  // addresses published on every rank
 
     rebuild();
-    compute_forces();
+    compute_forces(/*forward=*/false);
 
     if (job_.opt.integrity.enabled()) {
       // Collective energy reference for the drift sentinel. The
@@ -374,25 +371,8 @@ class RankSim {
         }
       }
 
-      if (do_rebuild) {
-        // Rebuild steps exchanged ghosts already; the force evaluation
-        // runs serially in canonical order under both executors.
-        rebuild();
-        inject_ghosts(step_);
-        compute_forces();
-      } else if (exec_async_) {
-        // The step DAG issues the forward exchange itself and overlaps
-        // interior force tasks with the in-flight ghost data (ghost
-        // flips land via the DAG's task.inject node).
-        compute_forces(/*dag=*/true);
-      } else {
-        {
-          util::ScopedStage s(timer_, Stage::kComm);
-          comm_->forward_positions();
-        }
-        inject_ghosts(step_);
-        compute_forces();
-      }
+      if (do_rebuild) rebuild();
+      compute_forces(/*forward=*/!do_rebuild);
       inject_force(step_);  // planned force flips land here
 
       {
@@ -459,40 +439,35 @@ class RankSim {
       list_ = cfg.newton ? neighbor_->build_half(atoms_, half_rule_)
                          : neighbor_->build_full(atoms_);
       snapshot_positions();
-      // The band partition and the step DAG are functions of the
-      // neighbor epoch: atoms keep their group until the next rebuild
-      // (the list is frozen, so interior rows cannot grow ghost
-      // neighbors mid-epoch).
+      // The band partition is a function of the neighbor epoch: atoms
+      // keep their group until the next rebuild (the list is frozen, so
+      // interior rows cannot grow ghost neighbors mid-epoch). The step
+      // DAG's shape depends only on the group masks.
       groups_.rebuild(atoms_, sub_, rc_, list_, cfg.newton);
-      if (exec_async_) build_step_graph();
+      if (graph_.size() == 0 ||
+          !std::ranges::equal(graph_masks_, groups_.groups, {}, {},
+                              &md::ForceGroup::mask)) {
+        build_step_graph();
+      }
     }
   }
 
-  /// One force evaluation. The serial path runs the split sequence in
-  /// canonical order; `dag` runs the same nodes as this epoch's step
-  /// DAG, which also carries the forward exchange, so on async
-  /// non-rebuild steps the whole thing is charged to Pair — overlapped
-  /// communication is hidden time by design (the trace spans keep the
-  /// full attribution; see DESIGN.md section 12).
-  void compute_forces(bool dag = false) {
-    {
-      // EAM's mid-pair rho/fp exchanges happen inside the pair stage and
-      // are therefore charged to Pair, matching the paper's accounting.
+  /// One force evaluation: one run of the step DAG, on the async pool or
+  /// serially in canonical order (barrier). `forward` is false on
+  /// rebuild steps, whose borders() shipped the ghost positions.
+  void compute_forces(bool forward) {
+    forward_ = forward;
+    if (dag_pool_) {
+      // A pooled run overlaps the forward exchange with force work, so
+      // it is charged to Pair as a whole — overlapped communication is
+      // hidden time by design (the trace spans keep the full
+      // attribution; see DESIGN.md section 12).
       util::ScopedStage s(timer_, Stage::kPair);
-      atoms_.zero_forces();
-      if (dag) {
-        potential_->split_begin(atoms_, list_, job_.opt.config.newton,
-                                &groups_);
-        graph_->run(dag_pool_.get());
-        last_force_ = potential_->split_finish();
-      } else {
-        last_force_ = potential_->compute_groups(
-            atoms_, list_, job_.opt.config.newton, groups_, comm_.get());
-        // Same data point as the async DAG's task.guard node, so both
-        // executors feed check_integrity an identical verdict.
-        if (job_.opt.integrity.enabled()) guard_prescan();
-      }
+      graph_.run(dag_pool_.get());
+    } else {
+      graph_.run(nullptr, &timer_);
     }
+    last_force_ = potential_->split_finish();
     if (job_.opt.config.newton) {
       // Ghost-force return is a Comm-stage cost in LAMMPS accounting.
       util::ScopedStage r(timer_, Stage::kComm);
@@ -500,12 +475,14 @@ class RankSim {
     }
   }
 
-  /// Build this epoch's step DAG (async executor). Nodes:
+  /// Build the step DAG for this epoch's group masks. Nodes:
   ///
   ///   task.fwd              forward_begin() — all sends on the wire
   ///   task.wait (xN)        forward_complete(ch), one per recv channel,
   ///                         chained per forward_channel_key (channels
   ///                         sharing a dispatcher must not race)
+  ///   task.inject           ghost bit flips (memory faults planned only)
+  ///   task.begin            zero the forces, bind the split inputs
   ///   task.interior (mask 0) / task.border (per band group), pass 0;
   ///                         border groups gate on the waits of every
   ///                         direction they read (group_reads_dir)
@@ -513,62 +490,78 @@ class RankSim {
   ///                         mid-pair comm), after all groups and waits
   ///   task.force (xG)       EAM pass-1 groups, after the mid join
   ///   task.reduce           EAM split_join(1)
+  ///   task.guard            nonfinite-force prescan (guards enabled only)
   ///
   /// Eager comm variants expose no channels: every border group then
   /// gates directly on task.fwd, which ran the whole blocking exchange.
+  /// task.fwd and task.wait are Comm-stage nodes, the rest Pair (EAM's
+  /// mid-pair rho/fp exchanges included, matching the paper's accounting).
   void build_step_graph() {
-    graph_ = std::make_unique<pool::TaskGraph>();
-    const int fwd = graph_->add("task.fwd", [this] { comm_->forward_begin(); });
+    graph_.clear();  // keeps node storage: no allocation once warmed up
+    graph_masks_.clear();
+    const int fwd = graph_.add(
+        "task.fwd", [this] { if (forward_) comm_->forward_begin(); },
+        Stage::kComm);
 
     const std::vector<int>& chans = comm_->forward_channels();
-    std::vector<int> waits;
-    waits.reserve(chans.size());
-    std::map<int, int> last_of_key;
-    for (const int ch : chans) {
-      const int w =
-          graph_->add("task.wait", [this, ch] { comm_->forward_complete(ch); });
-      graph_->depend(w, fwd);
+    const int nchans = static_cast<int>(chans.size());
+    const int wait0 = graph_.size();  // node ids of a kind are consecutive
+    for (int i = 0; i < nchans; ++i) {
+      const int ch = chans[static_cast<std::size_t>(i)];
+      const int w = graph_.add(
+          "task.wait", [this, ch] { if (forward_) comm_->forward_complete(ch); },
+          Stage::kComm);
+      graph_.depend(w, fwd);
+      // Chain after the previous channel sharing this one's key.
       const int key = comm_->forward_channel_key(ch);
-      const auto it = last_of_key.find(key);
-      if (it != last_of_key.end()) graph_->depend(w, it->second);
-      last_of_key[key] = w;
-      waits.push_back(w);
+      for (int j = i - 1; j >= 0; --j) {
+        if (comm_->forward_channel_key(chans[static_cast<std::size_t>(j)]) == key) {
+          graph_.depend(w, wait0 + j);
+          break;
+        }
+      }
     }
 
     // Silent-corruption hook: ghost flips must land after ALL forward
-    // traffic and before ANY ghost reader — the ordering the barrier
-    // executor gets by injecting after its blocking forward. The node
-    // (and its overlap cost) exists only when memory faults are planned.
+    // traffic and before ANY ghost reader. The node (and its overlap
+    // cost) exists only when memory faults are planned.
     int inject = -1;
     if (job_.mem && job_.mem->enabled()) {
-      inject = graph_->add("task.inject", [this] { inject_ghosts(step_); });
-      graph_->depend(inject, fwd);
-      for (const int w : waits) graph_->depend(inject, w);
+      inject = graph_.add("task.inject", [this] { inject_ghosts(step_); });
+      graph_.depend(inject, fwd);
+      for (int i = 0; i < nchans; ++i) graph_.depend(inject, wait0 + i);
     }
 
-    std::vector<int> pass0;
-    pass0.reserve(static_cast<std::size_t>(groups_.ngroups()));
-    for (int g = 0; g < groups_.ngroups(); ++g) {
+    const int begin = graph_.add("task.begin", [this] {
+      atoms_.zero_forces();
+      potential_->split_begin(atoms_, list_, job_.opt.config.newton, &groups_);
+    });
+
+    const int ngroups = groups_.ngroups();
+    const int group0 = graph_.size();
+    for (int g = 0; g < ngroups; ++g) {
       const int mask = groups_.groups[static_cast<std::size_t>(g)].mask;
+      graph_masks_.push_back(mask);
       const int node =
-          graph_->add(mask == 0 ? "task.interior" : "task.border",
-                      [this, g] { potential_->split_group(0, g); });
+          graph_.add(mask == 0 ? "task.interior" : "task.border",
+                     [this, g] { potential_->split_group(0, g); });
+      graph_.depend(node, begin);
       if (mask != 0) {
         bool gated = false;
-        for (std::size_t i = 0; i < chans.size(); ++i) {
-          const util::Int3 d = comm::all_dirs()[static_cast<std::size_t>(chans[i])];
+        for (int i = 0; i < nchans; ++i) {
+          const util::Int3 d = comm::all_dirs()[static_cast<std::size_t>(
+              chans[static_cast<std::size_t>(i)])];
           if (md::group_reads_dir(mask, d.x, d.y, d.z)) {
-            graph_->depend(node, waits[i]);
+            graph_.depend(node, wait0 + i);
             gated = true;
           }
         }
         // No matching channel (eager comm, or a band whose ghost side
         // never receives under Newton half-shell): gate on the forward
         // node itself — conservative and always correct.
-        if (!gated) graph_->depend(node, fwd);
-        if (inject >= 0) graph_->depend(node, inject);
+        if (!gated) graph_.depend(node, fwd);
+        if (inject >= 0) graph_.depend(node, inject);
       }
-      pass0.push_back(node);
     }
 
     // Every wait feeds the join even when no group reads it: the notice
@@ -576,34 +569,32 @@ class RankSim {
     // start before this one's exchange fully landed.
     const int npasses = potential_->split_passes();
     const int join0 =
-        graph_->add(npasses == 2 ? "task.mid" : "task.reduce",
-                    [this] { potential_->split_join(0, comm_.get()); });
-    for (const int n : pass0) graph_->depend(join0, n);
-    for (const int w : waits) graph_->depend(join0, w);
-    if (inject >= 0) graph_->depend(join0, inject);
+        graph_.add(npasses == 2 ? "task.mid" : "task.reduce",
+                   [this] { potential_->split_join(0, comm_.get()); });
+    graph_.depend(join0, begin);
+    for (int g = 0; g < ngroups; ++g) graph_.depend(join0, group0 + g);
+    for (int i = 0; i < nchans; ++i) graph_.depend(join0, wait0 + i);
+    if (inject >= 0) graph_.depend(join0, inject);
 
     int final_join = join0;
     if (npasses == 2) {
-      std::vector<int> pass1;
-      pass1.reserve(static_cast<std::size_t>(groups_.ngroups()));
-      for (int g = 0; g < groups_.ngroups(); ++g) {
-        const int node = graph_->add(
+      const int force0 = graph_.size();
+      for (int g = 0; g < ngroups; ++g) {
+        const int node = graph_.add(
             "task.force", [this, g] { potential_->split_group(1, g); });
-        graph_->depend(node, join0);
-        pass1.push_back(node);
+        graph_.depend(node, join0);
       }
-      const int join1 = graph_->add(
+      final_join = graph_.add(
           "task.reduce", [this] { potential_->split_join(1, comm_.get()); });
-      for (const int n : pass1) graph_->depend(join1, n);
-      final_join = join1;
+      for (int g = 0; g < ngroups; ++g) graph_.depend(final_join, force0 + g);
     }
 
     // The guard rides the DAG as its canonical terminal join: the
     // nonfinite-force prescan runs right where the reduced forces are
     // born, and check_integrity consumes its flag after the step.
     if (job_.opt.integrity.enabled()) {
-      const int guard = graph_->add("task.guard", [this] { guard_prescan(); });
-      graph_->depend(guard, final_join);
+      const int guard = graph_.add("task.guard", [this] { guard_prescan(); });
+      graph_.depend(guard, final_join);
     }
   }
 
@@ -692,11 +683,11 @@ class RankSim {
   }
 
   /// Flips into the landed ghost block of the position array: received
-  /// data corrupted *after* the wire CRC passed. Runs once all forward
-  /// traffic for the step has landed (after borders / forward; in the
-  /// async executor via the DAG's task.inject node gated on every wait).
+  /// data corrupted *after* the wire CRC passed. Runs as the DAG's
+  /// task.inject node, once all forward traffic for the step has landed.
+  /// Step 0 is the setup evaluation: flips are planned for loop steps.
   void inject_ghosts(int step) {
-    if (!job_.mem || atoms_.nghost() == 0) return;
+    if (!job_.mem || step == 0 || atoms_.nghost() == 0) return;
     job_.mem->apply(rank_, step, tofu::MemTarget::kGhostPos,
                     atoms_.x() + 3 * atoms_.nlocal(),
                     static_cast<std::size_t>(3 * atoms_.nghost()));
@@ -722,9 +713,7 @@ class RankSim {
   }
 
   /// Canonical-join guard hook: a cheap nonfinite scan over the reduced
-  /// forces, run as the DAG's terminal task.guard node (async) or inline
-  /// after the canonical split loop (barrier) — the same data point in
-  /// both executors, so the verdicts they feed check_integrity match.
+  /// forces, run as the DAG's terminal task.guard node.
   void guard_prescan() {
     if (!guard_step(step_)) return;
     const double* f = atoms_.f();
@@ -834,9 +823,10 @@ class RankSim {
   // --- step executor state --------------------------------------------
   geom::Box sub_;
   double rc_ = 0.0;
-  bool exec_async_ = false;
   md::ForceGroups groups_;                     ///< rebuilt per epoch
-  std::unique_ptr<pool::TaskGraph> graph_;     ///< rebuilt per epoch
+  pool::TaskGraph graph_;                      ///< rebuilt when masks change
+  std::vector<int> graph_masks_;               ///< group masks graph_ was built for
+  bool forward_ = true;  ///< this step's graph run does the forward exchange
   std::unique_ptr<pool::SpinThreadPool> dag_pool_;  ///< async only
 };
 

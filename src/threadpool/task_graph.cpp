@@ -8,10 +8,19 @@
 
 namespace lmp::pool {
 
-int TaskGraph::add(const char* name, std::function<void()> fn) {
-  nodes_.push_back(std::make_unique<Node>(name, std::move(fn)));
+int TaskGraph::add(const char* name, std::function<void()> fn,
+                   util::Stage stage) {
+  if (size_ == static_cast<int>(nodes_.size())) {
+    nodes_.push_back(std::make_unique<Node>());
+  }
+  Node& node = *nodes_[static_cast<std::size_t>(size_)];  // may be reused
+  node.name = name;
+  node.fn = std::move(fn);
+  node.stage = stage;
+  node.successors.clear();
+  node.indegree0 = 0;
   validated_ = false;
-  return static_cast<int>(nodes_.size()) - 1;
+  return size_++;
 }
 
 void TaskGraph::depend(int node, int prereq) {
@@ -45,6 +54,25 @@ void TaskGraph::finish_node(int id) {
   done_.fetch_add(1, std::memory_order_acq_rel);
 }
 
+void TaskGraph::execute(int id, bool traced) {
+  Node& node = *nodes_[static_cast<std::size_t>(id)];
+  if (!failed_.load(std::memory_order_acquire)) {
+    try {
+      // A null name records no span.
+      const obs::TraceSpan span(obs::TraceCat::kPool, traced ? node.name : nullptr);
+      node.fn();
+    } catch (...) {
+      // First failure wins; keep counting down so run() terminates.
+      bool expected = false;
+      if (failed_.compare_exchange_strong(expected, true,
+                                          std::memory_order_acq_rel)) {
+        error_ = std::current_exception();
+      }
+    }
+  }
+  finish_node(id);
+}
+
 void TaskGraph::worker_drain() {
   const int n = size();
   int polls = 0;
@@ -67,43 +95,46 @@ void TaskGraph::worker_drain() {
       continue;
     }
     polls = 0;
-    Node& node = *nodes_[static_cast<std::size_t>(id)];
-    if (!failed_.load(std::memory_order_acquire)) {
-      try {
-        const obs::TraceSpan span(obs::TraceCat::kPool, node.name);
-        node.fn();
-      } catch (...) {
-        // First failure wins; keep counting down so run() terminates.
-        bool expected = false;
-        if (failed_.compare_exchange_strong(expected, true,
-                                            std::memory_order_acq_rel)) {
-          error_ = std::current_exception();
-        }
-      }
+    execute(id, true);
+  }
+}
+
+void TaskGraph::drain_timed(util::StageTimer& timer) {
+  // Single-threaded: a node is ready until every node has run. Stage
+  // spans stand in for node spans (half the rank thread's trace volume).
+  while (!ready_.empty()) {
+    const util::Stage stage = nodes_[static_cast<std::size_t>(ready_.back())]->stage;
+    const util::ScopedStage booked(timer, stage);
+    while (!ready_.empty() &&
+           nodes_[static_cast<std::size_t>(ready_.back())]->stage == stage) {
+      const int id = ready_.back();
+      ready_.pop_back();
+      execute(id, false);
     }
-    finish_node(id);
   }
 }
 
 void TaskGraph::validate() {
   // Kahn's algorithm over the static indegrees: a cycle would make the
   // live run spin forever, so refuse it up front. Runs once per graph
-  // mutation, not per step.
+  // mutation, on the live countdowns and ready list (run() resets both).
   const int n = size();
-  std::vector<int> indeg(static_cast<std::size_t>(n));
-  std::vector<int> stack;
+  ready_.clear();
   for (int i = 0; i < n; ++i) {
-    indeg[static_cast<std::size_t>(i)] =
-        nodes_[static_cast<std::size_t>(i)]->indegree0;
-    if (indeg[static_cast<std::size_t>(i)] == 0) stack.push_back(i);
+    Node& node = *nodes_[static_cast<std::size_t>(i)];
+    node.indegree.store(node.indegree0, std::memory_order_relaxed);
+    if (node.indegree0 == 0) ready_.push_back(i);
   }
   int visited = 0;
-  while (!stack.empty()) {
-    const int id = stack.back();
-    stack.pop_back();
+  while (!ready_.empty()) {
+    const int id = ready_.back();
+    ready_.pop_back();
     ++visited;
     for (const int s : nodes_[static_cast<std::size_t>(id)]->successors) {
-      if (--indeg[static_cast<std::size_t>(s)] == 0) stack.push_back(s);
+      if (nodes_[static_cast<std::size_t>(s)]->indegree.fetch_sub(
+              1, std::memory_order_relaxed) == 1) {
+        ready_.push_back(s);
+      }
     }
   }
   if (visited != n) {
@@ -112,7 +143,7 @@ void TaskGraph::validate() {
   validated_ = true;
 }
 
-void TaskGraph::run(SpinThreadPool* pool) {
+void TaskGraph::run(SpinThreadPool* pool, util::StageTimer* timer) {
   const int n = size();
   if (!validated_) validate();
   order_.clear();
@@ -133,6 +164,8 @@ void TaskGraph::run(SpinThreadPool* pool) {
     // dynamic claim could let one fast thread swallow all the drain
     // slots and serialize the graph).
     pool->parallel_static([this](int) { worker_drain(); });
+  } else if (timer != nullptr) {
+    drain_timed(*timer);
   } else {
     worker_drain();
   }

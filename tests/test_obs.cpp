@@ -318,6 +318,48 @@ sim::SimOptions tiny_lj(const std::string& comm) {
   return o;
 }
 
+TEST(RunReport, BarrierBooksForwardExchangeToComm) {
+  // The barrier executor runs the step DAG serially and books each node
+  // to its stage: every forward pack and notice wait (the task.fwd and
+  // task.wait nodes' comm spans) must sit inside a stage:Comm span on
+  // its thread, never inside stage:Pair. Structural, so no timing.
+  if (!trace_compiled_in()) GTEST_SKIP() << "built with LMP_TRACE=OFF";
+  const TracerSandbox guard;
+  set_trace_categories(static_cast<std::uint32_t>(TraceCat::kSim) |
+                       static_cast<std::uint32_t>(TraceCat::kComm));
+  (void)sim::run_simulation(tiny_lj("6tni_p2p"), 12);
+  ASSERT_EQ(Tracer::instance().events_dropped(), 0u);
+  const std::vector<CollectedEvent> events = Tracer::instance().snapshot_events();
+
+  // Name of the stage span enclosing `inner` on its thread ("" if none).
+  const auto stage_of = [&](const CollectedEvent& inner) {
+    const TraceEvent& in = inner.event;
+    for (const CollectedEvent& ce : events) {
+      const TraceEvent& e = ce.event;
+      if (ce.pid != inner.pid || ce.tid != inner.tid ||
+          e.kind != TraceEvent::kSpan || e.name == nullptr ||
+          std::string(e.name).rfind("stage:", 0) != 0) {
+        continue;
+      }
+      if (e.ts_ns <= in.ts_ns && in.ts_ns + in.dur_ns <= e.ts_ns + e.dur_ns) {
+        return std::string(e.name);
+      }
+    }
+    return std::string();
+  };
+  int forward_spans = 0;
+  for (const CollectedEvent& ce : events) {
+    const TraceEvent& e = ce.event;
+    if (ce.pid < 0 || e.kind != TraceEvent::kSpan || e.name == nullptr) continue;
+    const std::string name = e.name;
+    if (name == "pack.forward" || name == "wait.forward") {
+      ++forward_spans;
+      EXPECT_EQ(stage_of(ce), "stage:Comm") << name << " on rank " << ce.pid;
+    }
+  }
+  EXPECT_GT(forward_spans, 0);
+}
+
 TEST(RunReport, StagesMatchTimerAndSerializeExactly) {
   const TracerSandbox guard;
   const sim::SimOptions o = tiny_lj("6tni_p2p");

@@ -10,6 +10,7 @@
 
 #include "threadpool/spin_pool.h"
 #include "threadpool/task_graph.h"
+#include "util/timer.h"
 
 namespace lmp::pool {
 namespace {
@@ -175,6 +176,61 @@ TEST(TaskGraph, ReusableAcrossEpochs) {
   SpinThreadPool pool(2);
   for (int step = 0; step < 100; ++step) g.run(&pool);
   EXPECT_EQ(counter, 200);
+}
+
+TEST(TaskGraph, ClearedGraphRebuildsWithNewShape) {
+  // The simulation rebuilds its step graph in place when an epoch's
+  // group shape changes: reused nodes must drop their old bodies, edges
+  // and indegrees.
+  TaskGraph g;
+  std::vector<int> ran;
+  for (int i = 0; i < 4; ++i) g.add("t.old", [&ran] { ran.push_back(-1); });
+  g.depend(1, 0);
+  g.depend(3, 2);
+  g.run(nullptr);
+  ASSERT_EQ(ran.size(), 4u);
+
+  g.clear();
+  EXPECT_EQ(g.size(), 0);
+  const int a = g.add("t.a", [&ran] { ran.push_back(0); });
+  const int b = g.add("t.b", [&ran] { ran.push_back(1); });
+  const int c = g.add("t.c", [&ran] { ran.push_back(2); });
+  // b waits for c: a, c, b in canonical order. A stale 0 -> 1 edge
+  // would release b after a, before c.
+  g.depend(b, c);
+  ran.clear();
+  g.run(nullptr);
+  EXPECT_EQ(g.size(), 3);
+  EXPECT_EQ(ran, (std::vector<int>{0, 2, 1}));
+  EXPECT_EQ(g.completion_order(), (std::vector<int>{a, c, b}));
+}
+
+TEST(TaskGraph, SerialRunBooksEachNodeToItsStage) {
+  // The barrier executor's forward exchange runs as Comm-tagged nodes
+  // between Pair-tagged ones; a timed serial run must charge each node's
+  // wall time to its own stage, never the whole run to one stage.
+  TaskGraph g;
+  const auto sleep_ms = [](int ms) {
+    return [ms] { std::this_thread::sleep_for(std::chrono::milliseconds(ms)); };
+  };
+  const int fwd = g.add("t.fwd", sleep_ms(2), util::Stage::kComm);
+  const int wait = g.add("t.wait", sleep_ms(2), util::Stage::kComm);
+  const int pair = g.add("t.pair", sleep_ms(3), util::Stage::kPair);
+  g.depend(wait, fwd);
+  g.depend(pair, wait);
+  util::StageTimer timer;
+  g.run(nullptr, &timer);
+  EXPECT_GE(timer.get(util::Stage::kComm), 0.004);
+  EXPECT_GE(timer.get(util::Stage::kPair), 0.003);
+  EXPECT_EQ(timer.get(util::Stage::kNeigh), 0.0);
+  EXPECT_EQ(timer.get(util::Stage::kModify), 0.0);
+  EXPECT_EQ(timer.get(util::Stage::kOther), 0.0);
+
+  // A pooled run overlaps stages and books nothing.
+  util::StageTimer untouched;
+  SpinThreadPool pool(2);
+  g.run(&pool, &untouched);
+  EXPECT_EQ(untouched.total(), 0.0);
 }
 
 }  // namespace
