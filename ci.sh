@@ -10,6 +10,25 @@ cd "$(dirname "$0")"
 
 JOBS=${JOBS:-$(nproc)}
 
+# Layering gate: util is the bottom layer and obs sits directly on it.
+# A file under src/util may include only util/ headers (plus the standard
+# library, which uses angle brackets); a file under src/obs only obs/ and
+# util/ headers. Fails listing every offending include.
+check_layering() {
+  echo "--- layering gate ---"
+  local bad
+  local inc='#[[:space:]]*include[[:space:]]*"'
+  bad=$({ grep -rnE "^[[:space:]]*${inc}" src/util | grep -vE "${inc}util/"
+          grep -rnE "^[[:space:]]*${inc}" src/obs | grep -vE "${inc}(obs|util)/"
+        } || true)
+  if [[ -n "${bad}" ]]; then
+    echo "layering gate: includes that reach above their layer:"
+    echo "${bad}"
+    return 1
+  fi
+  echo "layering gate: util includes only util/, obs only obs/ and util/"
+}
+
 # Kill-and-restart smoke: run the restart example to completion while
 # checkpointing every 20 steps, then pretend the job died after step 40
 # and resume from that checkpoint. The resumed trajectory must be
@@ -544,7 +563,8 @@ run_bench_compare_smoke() {
       "${work}/BENCH_alloc.json" --tol 50
 }
 
-echo "=== pass 0: benchmark harness self-tests ==="
+echo "=== pass 0: layering gate + benchmark harness self-tests ==="
+check_layering
 python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 echo "=== pass 1: -Werror build + ctest ==="

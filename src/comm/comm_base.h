@@ -7,7 +7,7 @@
 #include "geom/decomposition.h"
 #include "md/atoms.h"
 #include "md/potential.h"
-#include "util/stats.h"
+#include "obs/report.h"
 
 namespace lmp::comm {
 
@@ -94,7 +94,7 @@ class Comm : public md::GhostDataComm {
   /// Reliability/degradation summary for this rank's comm. The default
   /// (all-zero) report is right for implementations without a reliability
   /// layer (reference MPI, plain uTofu brick).
-  virtual util::CommHealthReport health() const { return {}; }
+  virtual obs::CommHealthReport health() const { return {}; }
 
  protected:
   CommContext ctx_;

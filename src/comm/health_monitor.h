@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "util/stats.h"
+#include "obs/report.h"
 
 namespace lmp::comm {
 
@@ -44,7 +44,7 @@ class HealthMonitor {
   const HealthThresholds& thresholds() const { return thr_; }
   bool enabled() const { return thr_.any(); }
 
-  EscalationDecision assess(const util::CommHealthReport& h) const;
+  EscalationDecision assess(const obs::CommHealthReport& h) const;
 
  private:
   HealthThresholds thr_;
@@ -53,7 +53,7 @@ class HealthMonitor {
 /// One-line counter summary for escalation-event reasons ("nacks=12
 /// retransmits=7 ..."), so the health table can tell the recovery story
 /// without reprinting a full report per event.
-std::string describe_counters(const util::CommHealthReport& h);
+std::string describe_counters(const obs::CommHealthReport& h);
 
 /// The paper-ordered degradation ladder: each step gives up fabric
 /// parallelism (6 TNIs -> 4 TNIs), then the fabric itself (-> MPI p2p),

@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/alloc_tracker.h"
+
 namespace lmp::obs {
 
 /// Minimal streaming JSON writer (objects, arrays, scalar values) — the
@@ -47,6 +49,125 @@ class JsonWriter {
 /// Write `text` to `path` (truncating); false on any I/O failure.
 bool write_text_file(const std::string& path, const std::string& text);
 
+// --- run-health record -------------------------------------------------
+
+/// One comm-variant escalation: the health monitor (or a hard comm
+/// error) retired `from_variant` at `fail_step`, the run rolled back to
+/// the checkpoint at `resume_step`, and continued under `to_variant`.
+/// `reason` carries the trigger — the typed error text or the exceeded
+/// threshold, including the counters that tripped it.
+struct EscalationEvent {
+  int fail_step = 0;
+  int resume_step = 0;
+  std::string from_variant;
+  std::string to_variant;
+  std::string reason;
+};
+
+/// Merge `from` into `into`: the union is sorted by fail_step (stable,
+/// so same-step events keep their relative order) and events identical
+/// in (fail_step, from_variant, to_variant) collapse to the first one.
+/// Summing per-rank health reports would otherwise replicate each
+/// job-level escalation once per rank and interleave them out of order.
+void merge_escalations(std::vector<EscalationEvent>& into,
+                       const std::vector<EscalationEvent>& from);
+
+/// One silent-corruption recovery episode: an integrity guard tripped at
+/// `detect_step`, the run rolled back to the checkpoint at `resume_step`
+/// and recomputed. `verdict` is "transient" for a healed flip (the
+/// recompute passed the step clean); a persistent fault never produces
+/// an event — it terminates the run with sim::IntegrityError instead.
+struct IntegrityEvent {
+  int detect_step = 0;
+  int resume_step = 0;
+  std::string reason;
+  std::string verdict;
+};
+
+/// Same dedupe-and-sort rationale as merge_escalations, keyed on
+/// (detect_step, resume_step, verdict).
+void merge_integrity_events(std::vector<IntegrityEvent>& into,
+                            const std::vector<IntegrityEvent>& from);
+
+/// End-of-run communication health summary: what the reliability layer
+/// and the fault injector saw. All zeros on a clean run — the acceptance
+/// bar for "no overhead on the clean path". The run report's "health"
+/// and "integrity" sections serialize this record as it stands.
+struct CommHealthReport {
+  // Receiver/sender protocol activity (comm layer).
+  std::uint64_t nacks_sent = 0;           ///< retransmit requests issued
+  std::uint64_t retransmits_served = 0;   ///< pending sends replayed
+  std::uint64_t duplicates_dropped = 0;   ///< stale/dup notices filtered
+  std::uint64_t crc_rejects = 0;          ///< checksum mismatches detected
+  // Fabric-side injected faults (fault injector view).
+  std::uint64_t notices_dropped = 0;
+  std::uint64_t notices_delayed = 0;
+  std::uint64_t notices_duplicated = 0;
+  std::uint64_t payloads_corrupted = 0;
+  std::uint64_t tni_drops = 0;            ///< puts swallowed by a dead TNI
+  std::uint64_t retransmit_puts = 0;      ///< fabric-level replay puts
+  std::uint64_t unreachable_puts = 0;     ///< puts refused on severed routes
+  std::uint64_t fabric_puts = 0;          ///< total puts the fabric carried
+  // Degradation state.
+  int tnis_in_use = 0;
+  int tnis_down = 0;
+  // Self-healing runtime (checkpoint/restart + failover ladder).
+  std::uint64_t checkpoints_written = 0;  ///< checkpoint emissions this run
+  double checkpoint_io_seconds = 0.0;     ///< wall time in checkpoint file I/O
+  std::vector<EscalationEvent> escalations;  ///< comm-variant failovers, in order
+  // Silent-corruption guards (sim/integrity).
+  std::uint64_t integrity_checks = 0;      ///< guard evaluations run
+  std::uint64_t integrity_detections = 0;  ///< guard verdicts that tripped
+  std::uint64_t integrity_rollbacks = 0;   ///< rollback+recompute launched
+  std::uint64_t mem_flips_injected = 0;    ///< bit flips the chaos plan landed
+  std::vector<IntegrityEvent> integrity_events;  ///< recoveries, in order
+
+  /// Counters sum, degradation gauges take the max, and the event lists
+  /// go through the sort-and-dedupe merges above.
+  CommHealthReport& operator+=(const CommHealthReport& o);
+
+  /// True when nothing abnormal happened (degradation state, checkpoint
+  /// activity, and guard evaluations ignored — running guards is normal;
+  /// a guard *detection* or an injected flip is not).
+  bool clean() const {
+    return nacks_sent == 0 && retransmits_served == 0 &&
+           duplicates_dropped == 0 && crc_rejects == 0 &&
+           notices_dropped == 0 && notices_delayed == 0 &&
+           notices_duplicated == 0 && payloads_corrupted == 0 &&
+           tni_drops == 0 && retransmit_puts == 0 && unreachable_puts == 0 &&
+           escalations.empty() && integrity_detections == 0 &&
+           integrity_rollbacks == 0 && mem_flips_injected == 0 &&
+           integrity_events.empty();
+  }
+};
+
+// --- end-of-run tables --------------------------------------------------
+
+/// Render the health report with the standard table layout (one counter
+/// per row) for end-of-run printing.
+std::string format_health_table(const CommHealthReport& h);
+
+/// Render the latency histograms the metrics registry collected this run
+/// (put latency per TNI, notice waits, pool dispatch/run, ...) as a
+/// table in microseconds, three decimals — followed, when the alloc
+/// tracker saw traffic, by the per-scope allocation table (allocs /
+/// frees / bytes per attribution scope). Empty string when no histogram
+/// recorded anything and no allocation was tracked.
+std::string format_latency_table();
+
+/// Render an alloc-guard verdict: one summary line (PASS / FAIL with
+/// the post-warmup totals) plus the per-scope attribution table of the
+/// post-warmup window when anything allocated. Empty string when the
+/// guard never ran.
+std::string format_alloc_guard_table(const AllocGuardReport& r);
+
+/// Render the FULL metrics registry — every counter, gauge (value and
+/// high-water mark), and histogram in its raw units — as plain-text
+/// tables. The `--metrics` / script `metrics` dump; format_latency_table
+/// remains the curated microsecond subset. Empty string when nothing was
+/// recorded.
+std::string format_metrics_table();
+
 // --- run report ---------------------------------------------------------
 
 inline constexpr const char* kRunReportSchema = "lmp-run-report";
@@ -60,30 +181,6 @@ struct ReportStage {
   std::string name;
   double seconds = 0.0;
   double percent = 0.0;
-};
-
-struct ReportEscalation {
-  int fail_step = 0;
-  int resume_step = 0;
-  std::string from_variant;
-  std::string to_variant;
-  std::string reason;
-};
-
-/// One healed silent-corruption episode in the v3 integrity section.
-struct ReportIntegrityEvent {
-  int detect_step = 0;
-  int resume_step = 0;
-  std::string reason;
-  std::string verdict;  ///< "transient" — persistent faults abort the run
-};
-
-/// One attribution scope in the v4 memory section.
-struct ReportMemoryScope {
-  std::string scope;
-  std::uint64_t allocs = 0;
-  std::uint64_t frees = 0;
-  std::uint64_t bytes = 0;
 };
 
 /// One hot fabric link in the v2 link-utilization section, endpoints
@@ -114,15 +211,9 @@ struct RunReport {
   /// denominator used for every percent (computed once, not per row).
   std::vector<ReportStage> stages;
   double stage_total_seconds = 0.0;
-  std::vector<std::pair<std::string, std::uint64_t>> health_counters;
-  double checkpoint_io_seconds = 0.0;
-  std::vector<ReportEscalation> escalations;
-  // --- v3: silent-corruption guard results ----------------------------
-  std::uint64_t integrity_checks = 0;
-  std::uint64_t integrity_detections = 0;
-  std::uint64_t integrity_rollbacks = 0;
-  std::uint64_t mem_flips_injected = 0;
-  std::vector<ReportIntegrityEvent> integrity_events;
+  /// The job's health record; its guard counters and recoveries are the
+  /// v3 "integrity" section.
+  CommHealthReport health;
   // --- v2: fabric link utilization (all zero when metrics were off) ---
   std::uint64_t fabric_total_bytes = 0;    ///< bytes x hops over all puts
   std::uint64_t fabric_total_packets = 0;  ///< packets x hops
@@ -137,12 +228,8 @@ struct RunReport {
   double critical_path_total_seconds = 0.0;
   // --- v4: memory (alloc tracker totals; scopes empty when untracked) -
   bool mem_tracked = false;  ///< LMP_ALLOC_TRACE compiled in
-  std::vector<ReportMemoryScope> mem_scopes;
-  std::uint64_t mem_total_allocs = 0;
-  std::uint64_t mem_total_frees = 0;
-  std::uint64_t mem_total_bytes = 0;
-  std::int64_t mem_live_bytes = 0;
-  std::int64_t mem_high_water_bytes = 0;
+  AllocTotals mem_totals;
+  std::vector<AllocSlotStats> mem_scopes;
   std::int64_t mem_rss_bytes = 0;  ///< from /proc at report-build time
   /// First/last thermo samples: (step, temperature, total energy).
   std::vector<std::pair<std::string, double>> thermo_first;

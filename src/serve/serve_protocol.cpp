@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
+
+#include "util/table_printer.h"
 
 namespace lmp::serve {
 
@@ -12,6 +15,38 @@ namespace {
 void finish(std::vector<char>& out, MsgType type, const WireWriter& w) {
   comm::append_frame(out, static_cast<std::uint16_t>(type),
                      w.bytes().data(), w.bytes().size());
+}
+
+/// Every ServeStats field in struct order, under its table row name: the
+/// one list behind the kStatsReply payload and the server table.
+template <typename Stats, typename Fn>
+void for_each_stat(Stats& s, Fn&& fn) {
+  fn("submitted", s.submitted);
+  fn("admitted", s.admitted);
+  fn("rejected_queue_full", s.rejected_queue_full);
+  fn("rejected_quota", s.rejected_quota);
+  fn("rejected_bad_script", s.rejected_bad_script);
+  fn("rejected_shutdown", s.rejected_shutdown);
+  fn("duplicate_submits", s.duplicate_submits);
+  fn("retries", s.retries);
+  fn("deadline_missed", s.deadline_missed);
+  fn("completed", s.completed);
+  fn("failed", s.failed);
+  fn("cancelled", s.cancelled);
+  fn("recovered", s.recovered);
+  fn("journal_torn_bytes", s.journal_torn_bytes);
+  fn("integrity_checks", s.integrity_checks);
+  fn("integrity_detections", s.integrity_detections);
+  fn("integrity_rollbacks", s.integrity_rollbacks);
+  fn("mem_flips_injected", s.mem_flips_injected);
+  fn("queue_depth", s.queue_depth);
+  fn("queue_depth_peak", s.queue_depth_peak);
+  fn("running", s.running);
+  fn("slo_breaches", s.slo_breaches);
+  fn("heap_live_bytes", s.heap_live_bytes);
+  fn("heap_high_water_bytes", s.heap_high_water_bytes);
+  fn("rss_bytes", s.rss_bytes);
+  fn("total_allocs", s.total_allocs);
 }
 
 }  // namespace
@@ -206,52 +241,38 @@ void encode_stats(std::vector<char>& out) {
   finish(out, MsgType::kStats, w);
 }
 
-void encode_stats_reply(std::vector<char>& out, const util::ServeStats& m) {
+void encode_stats_reply(std::vector<char>& out, const ServeStats& m) {
   WireWriter w;
-  w.u64(m.submitted);
-  w.u64(m.admitted);
-  w.u64(m.rejected_queue_full);
-  w.u64(m.rejected_quota);
-  w.u64(m.rejected_bad_script);
-  w.u64(m.rejected_shutdown);
-  w.u64(m.duplicate_submits);
-  w.u64(m.retries);
-  w.u64(m.deadline_missed);
-  w.u64(m.completed);
-  w.u64(m.failed);
-  w.u64(m.cancelled);
-  w.u64(m.recovered);
-  w.u64(m.journal_torn_bytes);
-  w.i64(m.queue_depth);
-  w.i64(m.queue_depth_peak);
-  w.i64(m.running);
-  w.u64(m.slo_breaches);
+  for_each_stat(m, [&w](const char*, const auto& v) {
+    if constexpr (std::is_signed_v<std::decay_t<decltype(v)>>) {
+      w.i64(v);
+    } else {
+      w.u64(v);
+    }
+  });
   finish(out, MsgType::kStatsReply, w);
 }
 
-util::ServeStats decode_stats_reply(const char* payload, std::size_t len) {
+ServeStats decode_stats_reply(const char* payload, std::size_t len) {
   WireReader r(payload, len, "stats reply");
-  util::ServeStats m;
-  m.submitted = r.u64();
-  m.admitted = r.u64();
-  m.rejected_queue_full = r.u64();
-  m.rejected_quota = r.u64();
-  m.rejected_bad_script = r.u64();
-  m.rejected_shutdown = r.u64();
-  m.duplicate_submits = r.u64();
-  m.retries = r.u64();
-  m.deadline_missed = r.u64();
-  m.completed = r.u64();
-  m.failed = r.u64();
-  m.cancelled = r.u64();
-  m.recovered = r.u64();
-  m.journal_torn_bytes = r.u64();
-  m.queue_depth = r.i64();
-  m.queue_depth_peak = r.i64();
-  m.running = r.i64();
-  m.slo_breaches = r.u64();
+  ServeStats m;
+  for_each_stat(m, [&r](const char*, auto& v) {
+    if constexpr (std::is_signed_v<std::decay_t<decltype(v)>>) {
+      v = r.i64();
+    } else {
+      v = r.u64();
+    }
+  });
   r.expect_done();
   return m;
+}
+
+std::string format_server_table(const ServeStats& s) {
+  util::TablePrinter t({"server", "count"});
+  for_each_stat(s, [&t](const char* name, const auto& v) {
+    t.add_row({name, std::to_string(v)});
+  });
+  return t.to_string();
 }
 
 void encode_stats_json(std::vector<char>& out) {

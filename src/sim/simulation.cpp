@@ -23,6 +23,7 @@
 #include "md/velocity.h"
 #include "minimpi/runtime.h"
 #include "obs/alloc_tracker.h"
+#include "obs/scoped_stage.h"
 #include "obs/tracer.h"
 #include "sim/checkpoint.h"
 #include "tofu/hardware.h"
@@ -90,8 +91,6 @@ struct JobShared {
   /// rows into a CheckpointState between two barriers.
   std::vector<std::vector<AtomState>> ckpt_stage;
   std::shared_ptr<const CheckpointState> last_ckpt;  ///< rollback target
-  double ckpt_io_seconds = 0.0;
-  std::uint64_t ckpts_written = 0;
   /// Content checksum of `last_ckpt`, recorded at commit and re-verified
   /// before the attempt loop resumes from it (integrity guards only).
   std::uint64_t last_ckpt_hash = 0;
@@ -100,7 +99,11 @@ struct JobShared {
   /// Owned by run_simulation so transient-flip history survives the
   /// rollback/recompute attempts; null when no memory faults are planned.
   tofu::MemFaultInjector* mem = nullptr;
-  std::atomic<std::uint64_t> integrity_checks{0};  ///< rank 0 counts guards
+
+  /// This attempt's health record. Rank 0 alone writes its checkpoint and
+  /// guard counts; run_ranks joins every rank thread before the attempt
+  /// reads it.
+  obs::CommHealthReport health;
 
   // --- steady-state zero-alloc guard ------------------------------------
   /// Driven by rank 0's step loop when opt.alloc_guard is set. The
@@ -197,11 +200,11 @@ struct JobShared {
       const auto t0 = std::chrono::steady_clock::now();
       write_checkpoint(opt.checkpoint_path + "." + std::to_string(step), *st);
       prune_checkpoints(opt.checkpoint_path, opt.checkpoint_keep);
-      ckpt_io_seconds +=
+      health.checkpoint_io_seconds +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
     }
-    ++ckpts_written;
+    ++health.checkpoints_written;
     // Fingerprint the parked rollback target so a flip landing in the
     // parked state itself is caught before it gets recomputed from.
     last_ckpt_hash = opt.integrity.enabled() ? checkpoint_content_hash(*st) : 0;
@@ -350,7 +353,7 @@ class RankSim {
     for (step_ = job_.start_step + 1; step_ <= nsteps; ++step_) {
       LMP_TRACE_SPAN(obs::TraceCat::kSim, "step");
       {
-        util::ScopedStage s(timer_, Stage::kModify);
+        obs::ScopedStage s(timer_, Stage::kModify);
         integrator_->initial_integrate(atoms_);
       }
       inject_owned(step_);  // planned pos/vel bit flips land here
@@ -362,7 +365,7 @@ class RankSim {
       bool do_rebuild = ckpt_step;
       if (!do_rebuild && step_ % cfg.neigh.every == 0) {
         if (cfg.neigh.check) {
-          util::ScopedStage s(timer_, Stage::kOther);
+          obs::ScopedStage s(timer_, Stage::kOther);
           // "check yes": everyone learns whether any atom anywhere moved
           // past half the skin (the EAM allreduce the paper highlights).
           do_rebuild = job_.world.allreduce_lor(rank_, moved_too_far());
@@ -376,12 +379,12 @@ class RankSim {
       inject_force(step_);  // planned force flips land here
 
       {
-        util::ScopedStage s(timer_, Stage::kModify);
+        obs::ScopedStage s(timer_, Stage::kModify);
         integrator_->final_integrate(atoms_);
       }
 
       if (step_ % job_.opt.thermo_every == 0 || step_ == nsteps) {
-        util::ScopedStage s(timer_, Stage::kOther);
+        obs::ScopedStage s(timer_, Stage::kOther);
         record_thermo(step_);
       }
 
@@ -428,13 +431,13 @@ class RankSim {
  private:
   void rebuild() {
     {
-      util::ScopedStage s(timer_, Stage::kComm);
+      obs::ScopedStage s(timer_, Stage::kComm);
       atoms_.clear_ghosts();
       comm_->exchange();
       comm_->borders();
     }
     {
-      util::ScopedStage s(timer_, Stage::kNeigh);
+      obs::ScopedStage s(timer_, Stage::kNeigh);
       const md::SimConfig& cfg = job_.opt.config;
       list_ = cfg.newton ? neighbor_->build_half(atoms_, half_rule_)
                          : neighbor_->build_full(atoms_);
@@ -462,7 +465,7 @@ class RankSim {
       // it is charged to Pair as a whole — overlapped communication is
       // hidden time by design (the trace spans keep the full
       // attribution; see DESIGN.md section 12).
-      util::ScopedStage s(timer_, Stage::kPair);
+      obs::ScopedStage s(timer_, Stage::kPair);
       graph_.run(dag_pool_.get());
     } else {
       graph_.run(nullptr, &timer_);
@@ -470,7 +473,7 @@ class RankSim {
     last_force_ = potential_->split_finish();
     if (job_.opt.config.newton) {
       // Ghost-force return is a Comm-stage cost in LAMMPS accounting.
-      util::ScopedStage r(timer_, Stage::kComm);
+      obs::ScopedStage r(timer_, Stage::kComm);
       comm_->reverse_forces();
     }
   }
@@ -639,7 +642,7 @@ class RankSim {
   /// barrier orders every rank's staging before the commit; the second
   /// keeps the stage buffers stable until the commit is done.
   void stage_checkpoint(int step) {
-    util::ScopedStage s(timer_, Stage::kOther);
+    obs::ScopedStage s(timer_, Stage::kOther);
     auto& mine = job_.ckpt_stage[static_cast<std::size_t>(rank_)];
     mine.clear();
     mine.reserve(static_cast<std::size_t>(atoms_.nlocal()));
@@ -657,8 +660,8 @@ class RankSim {
   /// left running against a torn-down fabric).
   void check_health(int step) {
     if (!job_.monitor.enabled()) return;
-    util::ScopedStage s(timer_, Stage::kOther);
-    const util::CommHealthReport h = comm_->health();
+    obs::ScopedStage s(timer_, Stage::kOther);
+    const obs::CommHealthReport h = comm_->health();
     const comm::EscalationDecision dec = job_.monitor.assess(h);
     if (dec.escalate) {
       job_.note_failure(rank_, step,
@@ -730,7 +733,7 @@ class RankSim {
   /// agrees before anyone tears down. Read-only on the physics state —
   /// a guarded clean run is bitwise-identical to an unguarded one.
   void check_integrity(int step) {
-    util::ScopedStage s(timer_, Stage::kOther);
+    obs::ScopedStage s(timer_, Stage::kOther);
     const IntegrityOptions& integ = job_.opt.integrity;
     const md::SimConfig& cfg = job_.opt.config;
 
@@ -783,9 +786,7 @@ class RankSim {
       }
     }
 
-    if (rank_ == 0) {
-      job_.integrity_checks.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (rank_ == 0) ++job_.health.integrity_checks;
     // Local detail is noted BEFORE the verdict allreduce, so it always
     // beats the generic note clean peers record afterwards.
     if (bad) job_.note_integrity(rank_, step, "integrity: " + reason);
@@ -858,24 +859,24 @@ struct AttemptOutcome {
   /// The attempt fell to a tripped integrity guard (not a comm fault):
   /// the retry policy is rollback-and-recompute on the SAME variant.
   bool integrity = false;
-  std::uint64_t integrity_checks = 0;
   std::shared_ptr<const CheckpointState> last_ckpt;
   std::uint64_t last_ckpt_hash = 0;
-  double ckpt_io_seconds = 0.0;
-  std::uint64_t ckpts_written = 0;
-  /// Fabric-side fault counters of this attempt (also harvested on
-  /// failure, so the final health report tells the whole story — the
-  /// unreachable puts happened on the *retired* variant's fabric).
-  util::CommHealthReport fabric;
+  /// This attempt's health: checkpoint and guard counts plus the
+  /// fabric-side fault counters (also harvested on failure, so the final
+  /// health report tells the whole story — the unreachable puts happened
+  /// on the *retired* variant's fabric), and on success the rank-summed
+  /// reliability counters.
+  obs::CommHealthReport health;
   /// Link-utilization totals of this attempt's network (same rationale:
   /// traffic up to the failure crossed real wires).
   tofu::FabricSnapshot links;
   JobResult result;
 };
 
-/// Copy the fault-injector and network counters of one attempt's fabric
-/// into a health report.
-void harvest_fabric_stats(const JobShared& job, util::CommHealthReport& h) {
+/// The fault-injector and network counters of one attempt's fabric as a
+/// health report.
+obs::CommHealthReport fabric_health(const JobShared& job) {
+  obs::CommHealthReport h;
   if (const tofu::FaultInjector* inj = job.net.fault_injector()) {
     const tofu::FaultStats& fs = inj->stats();
     h.notices_dropped = fs.dropped.load(std::memory_order_relaxed);
@@ -889,6 +890,7 @@ void harvest_fabric_stats(const JobShared& job, util::CommHealthReport& h) {
   }
   h.retransmit_puts =
       job.net.stats().retransmit_puts.load(std::memory_order_relaxed);
+  return h;
 }
 
 /// One attempt on one comm variant: run all ranks to completion or to a
@@ -944,36 +946,24 @@ AttemptOutcome run_attempt(const SimOptions& options,
   AttemptOutcome out;
   try {
     minimpi::run_ranks(nranks, rank_main);
+    out.ok = true;
   } catch (const FailoverSignal&) {
-    // run_ranks rethrows the *first* captured exception; a genuine bug
-    // on a slower rank may have been recorded after a peer's signal.
-    if (job.fatal) std::rethrow_exception(job.fatal);
-    out.ok = false;
-    {
-      std::lock_guard lock(job.fail_mu);
-      out.fail_step = job.fail_step;
-      out.fail_reason =
-          job.fail_reason.empty() ? "unknown failure" : job.fail_reason;
-      out.integrity = job.fail_integrity;
-    }
-    out.integrity_checks =
-        job.integrity_checks.load(std::memory_order_relaxed);
-    out.last_ckpt = job.last_ckpt;
-    out.last_ckpt_hash = job.last_ckpt_hash;
-    out.ckpt_io_seconds = job.ckpt_io_seconds;
-    out.ckpts_written = job.ckpts_written;
-    harvest_fabric_stats(job, out.fabric);
-    out.links = job.net.link_telemetry().snapshot();
-    return out;
+    std::lock_guard lock(job.fail_mu);
+    out.fail_step = job.fail_step;
+    out.fail_reason =
+        job.fail_reason.empty() ? "unknown failure" : job.fail_reason;
+    out.integrity = job.fail_integrity;
   }
+  // run_ranks rethrows the *first* captured exception; a genuine bug on a
+  // slower rank may have been recorded after a peer's signal.
   if (job.fatal) std::rethrow_exception(job.fatal);
 
-  out.ok = true;
-  out.integrity_checks = job.integrity_checks.load(std::memory_order_relaxed);
   out.last_ckpt = job.last_ckpt;
   out.last_ckpt_hash = job.last_ckpt_hash;
-  out.ckpt_io_seconds = job.ckpt_io_seconds;
-  out.ckpts_written = job.ckpts_written;
+  out.health = std::move(job.health);
+  out.health += fabric_health(job);
+  out.links = job.net.link_telemetry().snapshot();
+  if (!out.ok) return out;
 
   JobResult& res = out.result;
   res.ranks = std::move(job.results);
@@ -983,14 +973,11 @@ AttemptOutcome run_attempt(const SimOptions& options,
   res.atoms.reserve(static_cast<std::size_t>(res.natoms));
   for (const auto& r : res.ranks) {
     res.atoms.insert(res.atoms.end(), r.atoms.begin(), r.atoms.end());
+    out.health += r.health;
   }
   std::sort(res.atoms.begin(), res.atoms.end(),
             [](const AtomState& a, const AtomState& b) { return a.tag < b.tag; });
-  for (const auto& r : res.ranks) res.health += r.health;
   if (job.opt.alloc_guard) res.alloc_guard = job.alloc_guard.report();
-  harvest_fabric_stats(job, out.fabric);
-  out.links = job.net.link_telemetry().snapshot();
-  res.health += out.fabric;
   return out;
 }
 
@@ -1056,46 +1043,38 @@ JobResult run_simulation(const SimOptions& options, int nsteps) {
                                 ? static_cast<int>(chain.size()) - 1
                                 : opt.max_failovers;
 
-  std::vector<util::EscalationEvent> events;
-  std::vector<util::IntegrityEvent> recoveries;
-  util::CommHealthReport carry;  // fabric counters of failed attempts
+  // Every attempt's health record adds into the job's. The event lists
+  // stay apart until the end: they are in append order, and the merge in
+  // operator+= would sort them by step.
+  obs::CommHealthReport health;
+  std::vector<obs::EscalationEvent> events;
+  std::vector<obs::IntegrityEvent> recoveries;
   tofu::FabricSnapshot link_carry;  // link traffic of failed attempts
-  double io_seconds = 0.0;
-  std::uint64_t written = 0;
-  std::uint64_t checks = 0;
   std::uint64_t resume_hash = 0;
-  int rollbacks = 0;
   int last_detect_step = -1;
 
   std::size_t idx = 0;
   for (;;) {
     const std::string& variant = chain[idx];
     AttemptOutcome at = run_attempt(opt, variant, resume, nsteps, mem.get());
-    io_seconds += at.ckpt_io_seconds;
-    written += at.ckpts_written;
-    checks += at.integrity_checks;
+    health += at.health;
     if (at.ok) {
       JobResult res = std::move(at.result);
       res.restart_step = resume ? resume->step : 0;
       res.final_comm = variant;
       res.fabric = std::move(at.links);
       res.fabric += link_carry;
-      res.health += carry;
-      res.health.checkpoint_io_seconds += io_seconds;
-      res.health.checkpoints_written += written;
-      res.health.escalations = std::move(events);
-      res.health.integrity_checks += checks;
-      res.health.integrity_detections +=
-          static_cast<std::uint64_t>(recoveries.size());
-      res.health.integrity_rollbacks += static_cast<std::uint64_t>(rollbacks);
-      res.health.integrity_events = std::move(recoveries);
+      health.escalations = std::move(events);
+      health.integrity_detections = recoveries.size();
+      health.integrity_rollbacks = recoveries.size();
+      health.integrity_events = std::move(recoveries);
       if (mem) {
-        res.health.mem_flips_injected +=
+        health.mem_flips_injected =
             mem->stats().flips_injected.load(std::memory_order_relaxed);
       }
+      res.health = std::move(health);
       return res;
     }
-    carry += at.fabric;
     link_carry += at.links;
 
     if (at.integrity) {
@@ -1111,7 +1090,8 @@ JobResult run_simulation(const SimOptions& options, int nsteps) {
             "persistent corruption: recompute diverged again at step " +
                 std::to_string(at.fail_step) + " (" + at.fail_reason + ")");
       }
-      if (rollbacks >= opt.integrity.max_rollbacks) {
+      if (static_cast<int>(recoveries.size()) >=
+          opt.integrity.max_rollbacks) {
         throw IntegrityError(
             at.fail_step, "integrity rollback budget (" +
                               std::to_string(opt.integrity.max_rollbacks) +
@@ -1134,9 +1114,8 @@ JobResult run_simulation(const SimOptions& options, int nsteps) {
       }
       resume = std::move(target);
       resume_hash = want;
-      ++rollbacks;
       last_detect_step = at.fail_step;
-      util::IntegrityEvent ev;
+      obs::IntegrityEvent ev;
       ev.detect_step = at.fail_step;
       ev.resume_step = resume ? resume->step : 0;
       ev.reason = at.fail_reason;
@@ -1159,7 +1138,7 @@ JobResult run_simulation(const SimOptions& options, int nsteps) {
                                variant + "': " + at.fail_reason);
     }
     LMP_TRACE_INSTANT(obs::TraceCat::kCkpt, "failover.escalate");
-    util::EscalationEvent ev;
+    obs::EscalationEvent ev;
     ev.fail_step = at.fail_step;
     ev.resume_step = resume ? resume->step : 0;
     ev.from_variant = variant;
@@ -1211,39 +1190,7 @@ obs::RunReport build_run_report(const SimOptions& options, int nsteps,
                           stages.percent(s, total)});
   }
 
-  const util::CommHealthReport& h = result.health;
-  rep.health_counters = {
-      {"nacks_sent", h.nacks_sent},
-      {"retransmits_served", h.retransmits_served},
-      {"duplicates_dropped", h.duplicates_dropped},
-      {"crc_rejects", h.crc_rejects},
-      {"notices_dropped", h.notices_dropped},
-      {"notices_delayed", h.notices_delayed},
-      {"notices_duplicated", h.notices_duplicated},
-      {"payloads_corrupted", h.payloads_corrupted},
-      {"tni_drops", h.tni_drops},
-      {"retransmit_puts", h.retransmit_puts},
-      {"unreachable_puts", h.unreachable_puts},
-      {"fabric_puts", h.fabric_puts},
-      {"tnis_in_use", static_cast<std::uint64_t>(h.tnis_in_use)},
-      {"tnis_down", static_cast<std::uint64_t>(h.tnis_down)},
-      {"checkpoints_written", h.checkpoints_written},
-  };
-  rep.checkpoint_io_seconds = h.checkpoint_io_seconds;
-  for (const util::EscalationEvent& e : h.escalations) {
-    rep.escalations.push_back(
-        {e.fail_step, e.resume_step, e.from_variant, e.to_variant, e.reason});
-  }
-
-  // v3: silent-corruption guard results.
-  rep.integrity_checks = h.integrity_checks;
-  rep.integrity_detections = h.integrity_detections;
-  rep.integrity_rollbacks = h.integrity_rollbacks;
-  rep.mem_flips_injected = h.mem_flips_injected;
-  for (const util::IntegrityEvent& e : h.integrity_events) {
-    rep.integrity_events.push_back(
-        {e.detect_step, e.resume_step, e.reason, e.verdict});
-  }
+  rep.health = result.health;
 
   // v2: fabric link utilization. The topology is reconstructed the same
   // way the telemetry built it (linear proc -> node over for_nodes), so
@@ -1275,16 +1222,9 @@ obs::RunReport build_run_report(const SimOptions& options, int nsteps,
   // their sum always reconciles with the global counters (CI asserts
   // this on every traced run). RSS is sampled live from /proc.
   rep.mem_tracked = obs::alloc_trace_compiled_in();
-  const obs::AllocTotals mem = obs::AllocTracker::instance().totals();
-  rep.mem_total_allocs = mem.allocs;
-  rep.mem_total_frees = mem.frees;
-  rep.mem_total_bytes = mem.bytes;
-  rep.mem_live_bytes = mem.live_bytes;
-  rep.mem_high_water_bytes = mem.high_water_bytes;
+  rep.mem_totals = obs::AllocTracker::instance().totals();
+  rep.mem_scopes = obs::AllocTracker::instance().by_scope();
   rep.mem_rss_bytes = tofu::probe_rss_bytes();
-  for (const obs::AllocSlotStats& s : obs::AllocTracker::instance().by_scope()) {
-    rep.mem_scopes.push_back({s.name, s.allocs, s.frees, s.bytes});
-  }
 
   const auto thermo_kv = [](const ThermoSample& t) {
     return std::vector<std::pair<std::string, double>>{

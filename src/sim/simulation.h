@@ -18,7 +18,6 @@
 #include "tofu/fault.h"
 #include "tofu/link_telemetry.h"
 #include "tofu/network.h"
-#include "util/stats.h"
 #include "util/timer.h"
 #include "util/vec3.h"
 
@@ -127,7 +126,7 @@ struct AtomState {
 struct RankResult {
   util::StageTimer stages;
   comm::CommCounters comm;
-  util::CommHealthReport health;
+  obs::CommHealthReport health;
   int nlocal_final = 0;
   std::vector<AtomState> atoms;  ///< final owned atoms (local order)
 };
@@ -138,8 +137,8 @@ struct JobResult {
   std::vector<ThermoSample> thermo;  ///< global series (rank 0's copy)
   std::vector<AtomState> atoms;      ///< whole system, sorted by tag
   /// Rank-summed reliability counters plus the fabric-side injected
-  /// fault totals — what `util::format_health_table` prints.
-  util::CommHealthReport health;
+  /// fault totals — what `obs::format_health_table` prints.
+  obs::CommHealthReport health;
   long natoms = 0;
   double volume = 0.0;
   /// Step the (final) attempt resumed from: 0 for a fresh start, the

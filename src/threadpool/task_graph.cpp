@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "obs/scoped_stage.h"
 #include "threadpool/spin_pool.h"
 
 namespace lmp::pool {
@@ -104,7 +105,7 @@ void TaskGraph::drain_timed(util::StageTimer& timer) {
   // spans stand in for node spans (half the rank thread's trace volume).
   while (!ready_.empty()) {
     const util::Stage stage = nodes_[static_cast<std::size_t>(ready_.back())]->stage;
-    const util::ScopedStage booked(timer, stage);
+    const obs::ScopedStage booked(timer, stage);
     while (!ready_.empty() &&
            nodes_[static_cast<std::size_t>(ready_.back())]->stage == stage) {
       const int id = ready_.back();

@@ -31,7 +31,7 @@ class SpinThreadPool;
 /// topological order: the canonical order of the barrier executor.
 ///
 /// Stage booking: a serial run given a StageTimer books each node to
-/// its util::Stage tag, one util::ScopedStage (stage span, alloc scope)
+/// its util::Stage tag, one obs::ScopedStage (stage span, alloc scope)
 /// per run of consecutive same-stage nodes, and records those stage
 /// spans instead of node spans. A pooled run books nothing.
 ///

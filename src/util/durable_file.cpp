@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/metrics.h"
-
 #if defined(__unix__) || defined(__APPLE__)
 #define LMP_HAVE_FSYNC 1
 #include <fcntl.h>
@@ -23,16 +21,10 @@ std::atomic<std::uint64_t> g_fsyncs{0};
   throw std::runtime_error("durable_file: " + what + " failed for " + path);
 }
 
-void count_fsync() {
-  g_fsyncs.fetch_add(1, std::memory_order_relaxed);
-  static obs::Counter& c = obs::MetricsRegistry::instance().counter("io.fsyncs");
-  c.add(1);
-}
-
 #ifdef LMP_HAVE_FSYNC
 void fsync_fd(int fd, const std::string& path) {
   if (::fsync(fd) != 0) io_fail("fsync", path);
-  count_fsync();
+  g_fsyncs.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::string parent_dir(const std::string& path) {

@@ -13,9 +13,8 @@ namespace lmp::util {
 bool fsync_supported();
 
 /// Total fsync calls issued by the durable-file helpers this process
-/// (file data + directory entries). Mirrored into the metrics registry
-/// as counter "io.fsyncs"; exposed directly so tests can assert the
-/// write path without enabling metrics.
+/// (file data + directory entries); tests assert the write path with
+/// it.
 std::uint64_t fsyncs_issued();
 
 /// Write `len` bytes to `path` with power-loss-safe publication:

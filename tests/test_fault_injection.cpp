@@ -9,10 +9,10 @@
 
 #include "comm/dispatcher.h"
 #include "comm/msg_codec.h"
+#include "obs/report.h"
 #include "sim/simulation.h"
 #include "tofu/fault.h"
 #include "tofu/network.h"
-#include "util/stats.h"
 
 namespace lmp {
 namespace {
@@ -457,11 +457,11 @@ TEST(NetworkHardening, ErrorsNameTheAccess) {
 // --- health report -------------------------------------------------------
 
 TEST(HealthReport, AccumulatesAndFormats) {
-  util::CommHealthReport a;
+  obs::CommHealthReport a;
   EXPECT_TRUE(a.clean());
   a.nacks_sent = 2;
   a.tnis_in_use = 5;
-  util::CommHealthReport b;
+  obs::CommHealthReport b;
   b.nacks_sent = 3;
   b.crc_rejects = 1;
   b.tnis_in_use = 6;
@@ -470,7 +470,7 @@ TEST(HealthReport, AccumulatesAndFormats) {
   EXPECT_EQ(a.crc_rejects, 1u);
   EXPECT_EQ(a.tnis_in_use, 6);
   EXPECT_FALSE(a.clean());
-  const std::string table = util::format_health_table(a);
+  const std::string table = obs::format_health_table(a);
   EXPECT_NE(table.find("nacks_sent"), std::string::npos);
   EXPECT_NE(table.find("tnis_in_use"), std::string::npos);
   EXPECT_NE(table.find("5"), std::string::npos);

@@ -402,6 +402,142 @@ TEST(RunReport, StagesMatchTimerAndSerializeExactly) {
   EXPECT_EQ(rep.comm_final, r.final_comm);
 }
 
+TEST(RunReport, HealthAndIntegritySectionsPinned) {
+  // A hand-made job result with every health counter nonzero, two
+  // escalations appended out of step order (a later failover can fail at
+  // an earlier step after its rollback) and one healed corruption. The
+  // report and the table must render the record as it stands: same
+  // bytes, events in append order.
+  sim::JobResult r;
+  r.health.nacks_sent = 1;
+  r.health.retransmits_served = 2;
+  r.health.duplicates_dropped = 3;
+  r.health.crc_rejects = 4;
+  r.health.notices_dropped = 5;
+  r.health.notices_delayed = 6;
+  r.health.notices_duplicated = 7;
+  r.health.payloads_corrupted = 8;
+  r.health.tni_drops = 9;
+  r.health.retransmit_puts = 10;
+  r.health.unreachable_puts = 11;
+  r.health.fabric_puts = 12;
+  r.health.tnis_in_use = 5;
+  r.health.tnis_down = 1;
+  r.health.checkpoints_written = 13;
+  r.health.checkpoint_io_seconds = 0.25;
+  r.health.escalations.push_back(
+      {80, 50, "opt", "6tni_p2p", "rank 1: put timed out"});
+  r.health.escalations.push_back(
+      {60, 50, "6tni_p2p", "4tni_p2p", "health threshold: crc_rejects 4 > 3"});
+  r.health.integrity_checks = 14;
+  r.health.integrity_detections = 1;
+  r.health.integrity_rollbacks = 1;
+  r.health.mem_flips_injected = 2;
+  r.health.integrity_events.push_back(
+      {30, 20, "rank 0: integrity: velocity not finite", "transient"});
+
+  const std::string json =
+      sim::build_run_report(tiny_lj("ref"), 100, r).to_json();
+  const std::size_t from = json.find("\"health\":");
+  const std::size_t to = json.find(",\"link_utilization\":");
+  ASSERT_NE(from, std::string::npos);
+  ASSERT_NE(to, std::string::npos);
+  EXPECT_EQ(json.substr(from, to - from),
+            "\"health\":{\"nacks_sent\":1,\"retransmits_served\":2,"
+            "\"duplicates_dropped\":3,\"crc_rejects\":4,\"notices_dropped\":5,"
+            "\"notices_delayed\":6,\"notices_duplicated\":7,"
+            "\"payloads_corrupted\":8,\"tni_drops\":9,\"retransmit_puts\":10,"
+            "\"unreachable_puts\":11,\"fabric_puts\":12,\"tnis_in_use\":5,"
+            "\"tnis_down\":1,\"checkpoints_written\":13,"
+            "\"checkpoint_io_seconds\":0.25,\"escalations\":["
+            "{\"fail_step\":80,\"resume_step\":50,\"from\":\"opt\","
+            "\"to\":\"6tni_p2p\",\"reason\":\"rank 1: put timed out\"},"
+            "{\"fail_step\":60,\"resume_step\":50,\"from\":\"6tni_p2p\","
+            "\"to\":\"4tni_p2p\","
+            "\"reason\":\"health threshold: crc_rejects 4 > 3\"}]},"
+            "\"integrity\":{\"checks\":14,\"detections\":1,\"rollbacks\":1,"
+            "\"mem_flips_injected\":2,\"events\":["
+            "{\"detect_step\":30,\"resume_step\":20,\"verdict\":\"transient\","
+            "\"reason\":\"rank 0: integrity: velocity not finite\"}]}");
+
+  EXPECT_EQ(format_health_table(r.health),
+            "| comm health          | count |\n"
+            "|----------------------|-------|\n"
+            "| nacks_sent           |     1 |\n"
+            "| retransmits_served   |     2 |\n"
+            "| duplicates_dropped   |     3 |\n"
+            "| crc_rejects          |     4 |\n"
+            "| notices_dropped      |     5 |\n"
+            "| notices_delayed      |     6 |\n"
+            "| notices_duplicated   |     7 |\n"
+            "| payloads_corrupted   |     8 |\n"
+            "| tni_drops            |     9 |\n"
+            "| retransmit_puts      |    10 |\n"
+            "| unreachable_puts     |    11 |\n"
+            "| fabric_puts          |    12 |\n"
+            "| tnis_in_use          |     5 |\n"
+            "| tnis_down            |     1 |\n"
+            "| checkpoints_written  |    13 |\n"
+            "| checkpoint_io_s      | 0.250 |\n"
+            "| escalations          |     2 |\n"
+            "| integrity_checks     |    14 |\n"
+            "| integrity_detections |     1 |\n"
+            "| integrity_rollbacks  |     1 |\n"
+            "| mem_flips_injected   |     2 |\n"
+            "escalation at step 80: opt -> 6tni_p2p (resumed from step 50; "
+            "rank 1: put timed out)\n"
+            "escalation at step 60: 6tni_p2p -> 4tni_p2p (resumed from step 50; "
+            "health threshold: crc_rejects 4 > 3)\n"
+            "integrity rollback at step 30: resumed from step 20 "
+            "(verdict=transient; rank 0: integrity: velocity not finite)\n");
+}
+
+EscalationEvent esc(int fail_step, const char* from, const char* to,
+                    int resume_step = 0) {
+  EscalationEvent e;
+  e.fail_step = fail_step;
+  e.resume_step = resume_step;
+  e.from_variant = from;
+  e.to_variant = to;
+  return e;
+}
+
+TEST(MergeEscalations, SortsByFailStep) {
+  std::vector<EscalationEvent> into{esc(50, "opt", "6tni_p2p")};
+  merge_escalations(into, {esc(10, "6tni_p2p", "p2p")});
+  ASSERT_EQ(into.size(), 2u);
+  EXPECT_EQ(into[0].fail_step, 10);
+  EXPECT_EQ(into[1].fail_step, 50);
+}
+
+TEST(MergeEscalations, DedupesIdenticalTransitions) {
+  // Summing N per-rank reports replicates each job-level escalation N
+  // times; the merged report must keep one copy.
+  std::vector<EscalationEvent> into{esc(30, "opt", "6tni_p2p", 20)};
+  merge_escalations(into, {esc(30, "opt", "6tni_p2p", 20)});
+  merge_escalations(into, {esc(30, "opt", "6tni_p2p", 20)});
+  ASSERT_EQ(into.size(), 1u);
+  EXPECT_EQ(into[0].from_variant, "opt");
+  EXPECT_EQ(into[0].to_variant, "6tni_p2p");
+}
+
+TEST(MergeEscalations, KeepsDistinctTransitionsAtSameStep) {
+  std::vector<EscalationEvent> into{esc(30, "opt", "6tni_p2p")};
+  merge_escalations(into, {esc(30, "6tni_p2p", "p2p")});
+  EXPECT_EQ(into.size(), 2u);
+}
+
+TEST(MergeEscalations, HealthReportSumMergesEscalations) {
+  CommHealthReport a;
+  a.escalations = {esc(40, "opt", "6tni_p2p")};
+  CommHealthReport b;
+  b.escalations = {esc(40, "opt", "6tni_p2p"), esc(10, "x", "y")};
+  a += b;
+  ASSERT_EQ(a.escalations.size(), 2u);
+  EXPECT_EQ(a.escalations[0].fail_step, 10);
+  EXPECT_EQ(a.escalations[1].fail_step, 40);
+}
+
 TEST(BenchRecord, SerializesLabelsAndMetrics) {
   BenchRecord rec;
   rec.name = "obs_test";

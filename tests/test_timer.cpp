@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "obs/scoped_stage.h"
 #include "util/timer.h"
 
 namespace lmp::util {
@@ -53,7 +54,7 @@ TEST(StageTimer, StageNames) {
 TEST(ScopedStage, RecordsElapsedTime) {
   StageTimer t;
   {
-    ScopedStage s(t, Stage::kPair);
+    obs::ScopedStage s(t, Stage::kPair);
     volatile double x = 0;
     for (int i = 0; i < 100000; ++i) x = x + i;
     (void)x;
