@@ -221,6 +221,25 @@ EOF
   diff "${work}/thermo.ref" "${work}/thermo.resumed" \
       || { echo "serve smoke: recovered thermo stream diverged"; return 1; }
   echo "serve smoke: recovered thermo bitwise-identical ($(wc -l < "${work}/thermo.resumed") samples)"
+
+  # A --workdir that does not exist is refused at startup: a prompt
+  # nonzero exit naming the directory, before any job runs or any
+  # journal entry is written.
+  local rc=0
+  timeout 30 "${build_dir}/examples/lmp_serve" \
+      --journal "${work}/journal-nowd.bin" --workdir "${work}/no-such-dir" \
+      --jobs "${work}/jobs-ref.txt" --workers 1 > "${work}/nowd.log" 2>&1 \
+      || rc=$?
+  if [[ ${rc} -eq 0 || ${rc} -eq 124 ]]; then
+    echo "serve smoke: missing workdir: exit ${rc}, want a prompt refusal"
+    cat "${work}/nowd.log"
+    return 1
+  fi
+  grep -q -- "${work}/no-such-dir" "${work}/nowd.log" \
+      || { echo "serve smoke: refusal does not name the workdir"; cat "${work}/nowd.log"; return 1; }
+  [[ ! -s "${work}/journal-nowd.bin" ]] \
+      || { echo "serve smoke: refused server wrote a journal"; return 1; }
+  echo "serve smoke: missing workdir refused (exit ${rc}, no journal)"
 }
 
 # Integrity smoke: the silent-corruption guards against the restart

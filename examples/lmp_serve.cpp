@@ -205,13 +205,15 @@ int main(int argc, char** argv) {
   std::vector<WorkloadEntry> workload;
   if (!load_workload(jobs_path, workload)) return 1;
 
-  serve::JobServer server(cfg);
+  std::unique_ptr<serve::JobServer> owned;
   try {
-    server.start();
+    owned = std::make_unique<serve::JobServer>(cfg);
+    owned->start();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
+  serve::JobServer& server = *owned;
   const serve::RecoveryInfo& rec = server.recovery();
   std::printf("journal: %llu jobs, %llu requeued, %llu torn bytes%s\n",
               static_cast<unsigned long long>(rec.jobs_seen),

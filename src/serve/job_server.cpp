@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <numeric>
 #include <stdexcept>
 
@@ -81,6 +82,13 @@ JobServer::JobServer(ServerConfig config) : cfg_(std::move(config)) {
   if (cfg_.journal_path.empty() || cfg_.work_dir.empty()) {
     throw std::invalid_argument("JobServer: journal_path and work_dir are "
                                 "required");
+  }
+  // Checkpoints, reports and dumps land here; a missing directory would
+  // fail every job at its first checkpoint, after it burned its attempts.
+  std::error_code ec;
+  if (!std::filesystem::is_directory(cfg_.work_dir, ec)) {
+    throw std::invalid_argument("JobServer: work_dir '" + cfg_.work_dir +
+                                "' is not an existing directory");
   }
   if (cfg_.workers < 0) cfg_.workers = 0;
   if (cfg_.queue_capacity < 1) cfg_.queue_capacity = 1;

@@ -118,6 +118,8 @@ struct JobShared {
   int fail_step = 0;
   std::string fail_reason;
   bool fail_integrity = false;  ///< root cause was a tripped guard
+  int fail_rank = -1;           ///< rank whose integrity note stands
+  bool fail_detected = false;   ///< ... and it saw the violation itself
   std::exception_ptr fatal;  ///< genuine bug — rethrown, never failed over
 
   JobShared(const SimOptions& o, std::string variant_name,
@@ -165,15 +167,24 @@ struct JobShared {
   }
 
   /// Like note_failure, but marks the root cause as a corruption
-  /// verdict. Ranks with a local violation call this *before* the guard
-  /// allreduce, so the detailed reason always beats the generic note
-  /// clean peers record afterwards.
-  void note_integrity(int rank, int step, const std::string& reason) {
+  /// verdict, and picks it deterministically: a global violation (net
+  /// momentum and energy are allreduced) is seen by every rank at once,
+  /// and the notes race for `fail_mu`. A detecting rank's reason beats
+  /// a clean peer's generic one, and among detecting ranks at one step
+  /// the lowest rank wins.
+  void note_integrity(int rank, int step, const std::string& reason,
+                      bool detected) {
     std::lock_guard lock(fail_mu);
-    if (!fail_reason.empty()) return;
+    if (!fail_reason.empty()) {
+      const bool outranks = fail_integrity && step == fail_step && detected &&
+                            (!fail_detected || rank < fail_rank);
+      if (!outranks) return;
+    }
     fail_step = step;
     fail_reason = "rank " + std::to_string(rank) + ": " + reason;
     fail_integrity = true;
+    fail_rank = rank;
+    fail_detected = detected;
   }
 
   void note_fatal(std::exception_ptr ep) {
@@ -439,8 +450,11 @@ class RankSim {
     {
       obs::ScopedStage s(timer_, Stage::kNeigh);
       const md::SimConfig& cfg = job_.opt.config;
-      list_ = cfg.newton ? neighbor_->build_half(atoms_, half_rule_)
-                         : neighbor_->build_full(atoms_);
+      if (cfg.newton) {
+        neighbor_->build_half(atoms_, half_rule_, list_);
+      } else {
+        neighbor_->build_full(atoms_, list_);
+      }
       snapshot_positions();
       // The band partition is a function of the neighbor epoch: atoms
       // keep their group until the next rebuild (the list is frozen, so
@@ -789,11 +803,12 @@ class RankSim {
     if (rank_ == 0) ++job_.health.integrity_checks;
     // Local detail is noted BEFORE the verdict allreduce, so it always
     // beats the generic note clean peers record afterwards.
-    if (bad) job_.note_integrity(rank_, step, "integrity: " + reason);
+    if (bad) job_.note_integrity(rank_, step, "integrity: " + reason, true);
     const bool any = job_.world.allreduce_lor(rank_, bad);
     if (any) {
       if (!bad) {
-        job_.note_integrity(rank_, step, "integrity guard tripped on a peer");
+        job_.note_integrity(rank_, step, "integrity guard tripped on a peer",
+                            false);
       }
       throw IntegritySignal("integrity guard tripped at step " +
                             std::to_string(step));

@@ -176,6 +176,28 @@ TEST(Integrity, TransientFlipHealsBitwiseEamAsync) {
   expect_transient_recovery(o, 30);
 }
 
+TEST(Integrity, GlobalViolationReasonIsDeterministic) {
+  // A velocity flip shifts the allreduced net momentum, so every rank
+  // detects it at the same guard step and races to record the reason.
+  // The recorded reason must not depend on which rank gets there first.
+  SimOptions o = lj_case();
+  arm_guards(o);
+  o.faults.mem_faults.push_back(vel_flip(15));
+  std::string first;
+  for (int run = 0; run < 6; ++run) {
+    const JobResult r = run_simulation(o, 20);
+    ASSERT_EQ(r.health.integrity_events.size(), 1u);
+    const std::string& reason = r.health.integrity_events[0].reason;
+    if (run == 0) {
+      first = reason;
+    } else {
+      EXPECT_EQ(reason, first) << "run " << run;
+    }
+  }
+  // The lowest detecting rank's own reason, not a peer's generic note.
+  EXPECT_EQ(first.rfind("rank 0: integrity: ", 0), 0u) << first;
+}
+
 TEST(Integrity, PersistentFlipEscalatesToIntegrityError) {
   SimOptions o = lj_case();
   arm_guards(o);

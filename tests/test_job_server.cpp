@@ -679,6 +679,28 @@ TEST(JobServer, JournalWriteFailureDegradesServerInsteadOfTerminating) {
   server2.stop(StopMode::kDrain);
 }
 
+TEST(JobServer, RefusesWorkDirThatIsNotADirectory) {
+  // Without the check every job ran to its first checkpoint, failed to
+  // open it and burned all its attempts; the server must refuse at
+  // construction instead, before a journal exists.
+  ServerConfig cfg = base_config("nowd");
+  const std::string missing = ::testing::TempDir() + "srv_nowd_missing";
+  std::filesystem::remove_all(missing);
+  const std::string file = tmp_path("srv_nowd_file");
+  std::ofstream(file) << "not a directory\n";
+  for (const std::string& dir : {missing, file}) {
+    cfg.work_dir = dir;
+    try {
+      JobServer server(cfg);
+      ADD_FAILURE() << "work_dir '" << dir << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(dir), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(cfg.journal_path));
+  EXPECT_FALSE(std::filesystem::exists(missing));
+}
+
 TEST(JobServer, RecoveredFullyProgressedJobStillStreamsAndWritesReport) {
   // Crash window: the final slice's progress record landed but the
   // terminal record did not. Recovery requeues the job with

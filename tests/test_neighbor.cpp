@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "md/neighbor.h"
 #include "util/rng.h"
@@ -146,6 +150,165 @@ TEST(Neighbor, CountMatchesDensityEstimate) {
   const double avg = static_cast<double>(l.total_pairs()) / n;
   EXPECT_GT(avg, 0.55 * expected);
   EXPECT_LT(avg, 1.05 * expected);
+}
+
+/// O(N^2) reference: every local's row from the pair rules alone, with
+/// the same distance expression, sorted by (tag, z, y, x).
+NeighborList brute_force(const Atoms& a, double cut, bool full, HalfRule rule) {
+  const double* x = a.x();
+  const double cut2 = cut * cut;
+  NeighborList l;
+  l.full = full;
+  l.offsets.push_back(0);
+  for (int i = 0; i < a.nlocal(); ++i) {
+    std::vector<int> row;
+    for (int j = 0; j < a.ntotal(); ++j) {
+      if (j == i) continue;
+      if (!full) {
+        if (j < a.nlocal()) {
+          if (j < i) continue;
+        } else if (rule == HalfRule::kCoordTieBreak) {
+          const Vec3 pi = a.pos(i), pj = a.pos(j);
+          const bool ghost_wins =
+              pj.z > pi.z ||
+              (pj.z == pi.z && (pj.y > pi.y || (pj.y == pi.y && pj.x > pi.x)));
+          if (!ghost_wins) continue;
+        }
+      }
+      const double ddx = x[3 * i] - x[3 * j];
+      const double ddy = x[3 * i + 1] - x[3 * j + 1];
+      const double ddz = x[3 * i + 2] - x[3 * j + 2];
+      if (ddx * ddx + ddy * ddy + ddz * ddz < cut2) row.push_back(j);
+    }
+    std::sort(row.begin(), row.end(), [&](int p, int q) {
+      const Vec3 pp = a.pos(p), pq = a.pos(q);
+      if (a.tag(p) != a.tag(q)) return a.tag(p) < a.tag(q);
+      if (pp.z != pq.z) return pp.z < pq.z;
+      if (pp.y != pq.y) return pp.y < pq.y;
+      return pp.x < pq.x;
+    });
+    l.neigh.insert(l.neigh.end(), row.begin(), row.end());
+    l.offsets.push_back(static_cast<int>(l.neigh.size()));
+  }
+  return l;
+}
+
+/// A periodic cube of side `box` on a grid of pitch `pitch` (points on
+/// every bin face when the pitch divides the bin width), jittered by
+/// `jitter`, locals stored in shuffled tag order, and ghosts that are
+/// periodic images (same tag) within `shell` of the cube: on every side,
+/// or only on the upper side of each axis.
+Atoms periodic_block(double box, double pitch, double jitter, double shell,
+                     bool upper_only, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<Vec3> pos;
+  const int n = static_cast<int>(box / pitch + 0.5);
+  for (int iz = 0; iz < n; ++iz) {
+    for (int iy = 0; iy < n; ++iy) {
+      for (int ix = 0; ix < n; ++ix) {
+        Vec3 p{ix * pitch, iy * pitch, iz * pitch};
+        if (jitter > 0) {
+          for (std::size_t d = 0; d < 3; ++d) {
+            p[d] = std::clamp(p[d] + rng.uniform(-jitter, jitter), 0.0,
+                              std::nextafter(box, 0.0));
+          }
+        }
+        pos.push_back(p);
+      }
+    }
+  }
+  std::vector<int> tag(pos.size());
+  for (std::size_t i = 0; i < tag.size(); ++i) tag[i] = static_cast<int>(i);
+  for (std::size_t i = tag.size(); i > 1; --i) {
+    std::swap(tag[i - 1], tag[rng.uniform_index(i)]);
+  }
+  Atoms a;
+  a.reserve_capacity(static_cast<int>(pos.size()) * 27);
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    a.add_local(pos[i], {0, 0, 0}, tag[i]);
+  }
+  const int lo = upper_only ? 0 : -1;
+  for (int sz = lo; sz <= 1; ++sz) {
+    for (int sy = lo; sy <= 1; ++sy) {
+      for (int sx = lo; sx <= 1; ++sx) {
+        if (sx == 0 && sy == 0 && sz == 0) continue;
+        for (std::size_t i = 0; i < pos.size(); ++i) {
+          const Vec3 p{pos[i].x + sx * box, pos[i].y + sy * box, pos[i].z + sz * box};
+          bool near = true;
+          for (std::size_t d = 0; d < 3; ++d) {
+            near = near && p[d] >= -shell && p[d] < box + shell;
+          }
+          if (near) a.add_ghost(p, tag[i]);
+        }
+      }
+    }
+  }
+  return a;
+}
+
+void expect_same_list(const NeighborList& got, const NeighborList& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.full, want.full) << what;
+  EXPECT_EQ(got.offsets, want.offsets) << what;
+  EXPECT_EQ(got.neigh, want.neigh) << what;
+}
+
+TEST(Neighbor, RowsMatchBruteForceCanonicalOrder) {
+  struct Case {
+    const char* name;
+    double box, pitch, jitter, shell, cut;
+    bool upper_only;
+  };
+  const Case cases[] = {
+      // Atoms span [0, 6] (ghosts at 6), so the cutoff 1.5 makes four
+      // bins of width 1.5 and every fourth grid plane lies on a bin face;
+      // grid pairs at exactly the cutoff distance are excluded.
+      {"on bin faces", 6.0, 0.75, 0.0, 0.75, 1.5, true},
+      {"jittered images", 5.0, 1.0, 0.2, 1.6, 1.6, false},
+      {"upper ghosts only", 5.0, 1.0, 0.2, 1.6, 1.6, true},
+      // Extent below the cutoff: one bin per axis, every image a pair.
+      {"one bin per axis", 1.0, 0.5, 0.1, 2.5, 2.5, false},
+  };
+  for (const Case& c : cases) {
+    const Atoms a = periodic_block(c.box, c.pitch, c.jitter, c.shell,
+                                   c.upper_only, 11);
+    const NeighborBuilder b(c.cut);
+    const std::string what = c.name;
+    expect_same_list(b.build_full(a), brute_force(a, c.cut, true, HalfRule::kCoordTieBreak),
+                     what + ": full");
+    for (const HalfRule rule : {HalfRule::kCoordTieBreak, HalfRule::kAllGhosts}) {
+      expect_same_list(b.build_half(a, rule), brute_force(a, c.cut, false, rule),
+                       what + ": half rule " + std::to_string(static_cast<int>(rule)));
+    }
+  }
+}
+
+TEST(Neighbor, InPlaceRebuildLeavesNoStaleEntries) {
+  // One list and one builder across builds that grow and shrink the
+  // atom count and switch the list kind: each result must equal a fresh
+  // by-value build exactly.
+  const NeighborBuilder b(1.6);
+  NeighborList reused;
+  const double boxes[] = {4.0, 7.0, 3.0, 6.0, 2.0, 7.0};
+  for (int round = 0; round < 6; ++round) {
+    const Atoms a = periodic_block(boxes[round], 1.0, 0.2, 1.6, round % 2 == 1,
+                                   static_cast<std::uint64_t>(100 + round));
+    const std::string what = "round " + std::to_string(round);
+    if (round % 3 == 0) {
+      b.build_full(a, reused);
+      expect_same_list(reused, b.build_full(a), what);
+      expect_same_list(reused, brute_force(a, 1.6, true, HalfRule::kCoordTieBreak), what);
+    } else {
+      const HalfRule rule = round % 3 == 1 ? HalfRule::kCoordTieBreak : HalfRule::kAllGhosts;
+      b.build_half(a, rule, reused);
+      expect_same_list(reused, brute_force(a, 1.6, false, rule), what);
+    }
+  }
+  Atoms empty;
+  empty.reserve_capacity(1);
+  b.build_half(empty, HalfRule::kAllGhosts, reused);
+  EXPECT_EQ(reused.offsets, std::vector<int>{0});
+  EXPECT_TRUE(reused.neigh.empty());
 }
 
 TEST(Neighbor, InvalidCutoffThrows) {
